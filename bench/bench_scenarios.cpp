@@ -10,14 +10,11 @@
 ///    "failed_nets":0,"drc_clean":true,"detect_s":..,"route_s":..,
 ///    "total_s":..,"note":""}
 ///
-/// Usage: bench_scenarios [--quick] [--filter <substr>] [--threads N]
+/// Usage: bench_scenarios [--quick] [--filter <substr>]
 ///   --quick    run each scenario's scaled-down CI variant
 ///   --filter   only scenarios whose name/family contains <substr>
-///   --threads  RRR worker threads (output is thread-count-invariant)
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -36,12 +33,8 @@ int main(int argc, char** argv) {
       options.quick = true;
     } else if (std::strcmp(argv[i], "--filter") == 0 && i + 1 < argc) {
       filter = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.config.rrr_threads = std::max(1, std::atoi(argv[++i]));
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_scenarios [--quick] [--filter <substr>] "
-                   "[--threads N]\n");
+      std::fprintf(stderr, "usage: bench_scenarios [--quick] [--filter <substr>]\n");
       return 2;
     }
   }

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <numeric>
 
-#include "core/batch_schedule.hpp"
 #include "core/conflict_index.hpp"
 #include "util/fault_injector.hpp"
 #include "util/logger.hpp"
@@ -379,12 +377,22 @@ void MrTplRouter::choose_colors(
 
 namespace {
 
+/// Iterate quality used to pick the best snapshot: conflicts are printing
+/// failures and dominate, then stitches (yield), then a routability tax.
+/// Ties in violations resolve toward the earlier (less detoured) iterate
+/// because replacement below is strict.
+double iterate_score(int conflicts, int stitches, int failed) {
+  return 1e6 * failed + 1e4 * conflicts + 1e2 * stitches;
+}
+
+}  // namespace
+
 /// A restorable copy of the committed layout: per-net routes plus the mask
 /// of every routed vertex. Negotiated RRR is not monotonic — on heavily
 /// congested cases history-cost detours can make a later iteration worse
 /// than an earlier one — so the driver keeps the best iterate and restores
 /// it at the end instead of returning whatever the last iteration left.
-struct LayoutSnapshot {
+struct MrTplRouter::LayoutSnapshot {
   grid::Solution solution;
   std::vector<std::vector<grid::Mask>> masks;  ///< parallel to routes[i].vertices()
   double score = std::numeric_limits<double>::infinity();
@@ -415,158 +423,41 @@ struct LayoutSnapshot {
   }
 };
 
-/// Iterate quality used to pick the best snapshot: conflicts are printing
-/// failures and dominate, then stitches (yield), then a routability tax.
-/// Ties in violations resolve toward the earlier (less detoured) iterate
-/// because replacement below is strict.
-double iterate_score(int conflicts, int stitches, int failed) {
-  return 1e6 * failed + 1e4 * conflicts + 1e2 * stitches;
-}
-
-}  // namespace
-
 void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
-                             util::ThreadPool* pool,
-                             std::vector<std::unique_ptr<SearchArena>>& worker_arenas,
-                             std::vector<std::unique_ptr<ColorSearch>>& worker_searches,
-                             const std::vector<db::NetId>& nets,
+                             Workers* workers, const std::vector<db::NetId>& nets,
                              grid::Solution& solution) {
-  // Tile-sharded execution (sharded_router.cpp) replaces the flat
-  // speculative pass when configured; serial and single-net passes below
-  // are already exact and stay here.
-  if (pool != nullptr && nets.size() > 1 && config_.shard_tiles > 1) {
-    route_list_sharded(grid, search, pool, worker_arenas, worker_searches,
-                       nets, solution);
+  if (workers != nullptr && nets.size() > 1) {
+    route_list_sharded(grid, search, *workers, nets, solution);
     return;
   }
   util::Timer timer;
   const std::uint64_t pass_relax_base = stats_.relaxations;
-  // Budget skip: once the budget expires mid-pass, the remaining nets are
-  // marked kSkipped without committing anything. The decision reads the
-  // *applied* ledger on this thread, so for relaxation budgets it falls on
-  // the same net for every thread count.
-  auto mark_skipped = [&](db::NetId id) {
-    grid::NetRoute& r = solution.routes[static_cast<size_t>(id)];
-    r = grid::NetRoute{};
-    r.net = id;
-    r.disposition = grid::NetDisposition::kSkipped;
-  };
-  if (pool == nullptr || nets.size() <= 1) {
-    for (const db::NetId id : nets) {
-      if (budget_.active() && budget_.expired(stats_.relaxations)) {
-        mark_skipped(id);
-        continue;
-      }
-      RouteOutcome outcome = compute_route_guarded(grid, search, id);
-      apply_outcome(grid, outcome);
-      set_last_colors(outcome);
-      solution.routes[static_cast<size_t>(id)] = std::move(outcome.route);
-    }
-    if (!nets.empty()) {
-      stats_.route_batches += 1;
-      stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
-    }
-    stats_.reroute_s += timer.elapsed_s();
-    return;
-  }
-
-  // Already expired at pass start: skip the whole pass without paying for
-  // a speculative dispatch. Mirrors what the serial loop above does
-  // (every per-net check fires), so the pass accounting stays identical.
-  if (budget_.active() && budget_.expired(stats_.relaxations)) {
-    for (const db::NetId id : nets) mark_skipped(id);
-    stats_.route_batches += 1;
-    stats_.relaxations_per_pass.push_back(0);
-    stats_.reroute_s += timer.elapsed_s();
-    return;
-  }
-
-  // Speculative super-batch executor. The whole pass computes
-  // concurrently against the pass-start grid — one pool dispatch, no
-  // inter-batch barriers — then commits strictly in ripped order on this
-  // thread. A speculation is *applied* only when no earlier-applied
-  // commit landed inside its read footprint (the per-class halo pair of
-  // RouteOutcome: window-clipped 1-halo for owner/history reads, dcolor
-  // halo around the TPL congestion reads only); a stale net recomputes
-  // serially right here, where the grid holds exactly the serial-prefix
-  // state. Every applied outcome is therefore the one the serial loop
-  // would have produced, for every thread count — speculation decides
-  // how much parallel work is *kept*, never what the result is. The
-  // schedule depth prefilter skips the commit-log walk for nets whose
-  // window provably interacts with no earlier net's (both footprint rects
-  // lie within window ⊕ halo, so depth 0 implies no overlap);
-  // test_determinism pins schedule_batches element-identical to the
-  // O(k²) oracle.
-  const int halo = std::max(grid.dcolor(), 1);
-  std::vector<geom::Rect> windows(nets.size());
-  for (size_t i = 0; i < nets.size(); ++i)
-    windows[i] = net_scope(nets[i]).window;
-  const std::vector<int> batch_of = schedule_batches(windows, halo);
-
-  std::vector<RouteOutcome> outcomes(nets.size());
-  // Workers only read the grid (compute_route is const) and nothing
-  // commits until the dispatch drains, so the shared grid *is* the
-  // pass-start snapshot. The guarded wrapper keeps a throwing worker
-  // (injected allocation failure) from leaving its slot empty — for_each
-  // would rethrow after the drain and the net would silently vanish.
-  pool->for_each(nets.size(), [&](size_t k, int worker) {
-    outcomes[k] = compute_route_guarded(
-        grid, *worker_searches[static_cast<size_t>(worker)], nets[k]);
-  });
-
-  std::vector<geom::Rect> commit_box(nets.size());
-  std::vector<char> commit_live(nets.size(), 0);
-  size_t last_applied = nets.size();  // sentinel: nothing applied yet
-  for (size_t k = 0; k < nets.size(); ++k) {
+  for (const db::NetId id : nets) {
+    // Budget skip: once the budget expires mid-pass, the remaining nets are
+    // marked kSkipped without committing anything. The decision reads the
+    // *applied* ledger, so for relaxation budgets it falls on the same net
+    // for every (tiles, threads) configuration.
     if (budget_.active() && budget_.expired(stats_.relaxations)) {
-      stats_.wasted_relaxations += outcomes[k].relaxations;
-      mark_skipped(nets[k]);
+      mark_skipped(solution, id);
       continue;
     }
-    ++stats_.speculated;
-    bool stale = false;
-    if (batch_of[k] > 0) {
-      for (size_t j = 0; j < k && !stale; ++j)
-        stale = commit_live[j] != 0 && outcomes[k].reads_overlap(commit_box[j]);
-    }
-    // Fault site kSpecInvalidate: pretend validation failed, forcing the
-    // serial redo. The redo recomputes against the exact serial-prefix
-    // state, so routing output is unchanged — the site exercises the
-    // redo path, it does not perturb results.
-    if (util::FaultInjector::enabled() &&
-        util::FaultInjector::instance().should_fail(
-            util::FaultSite::kSpecInvalidate))
-      stale = true;
-    if (stale) {
-      ++stats_.respeculated;
-      stats_.wasted_relaxations += outcomes[k].relaxations;
-      outcomes[k] = compute_route_guarded(grid, search, nets[k]);
-    }
-    // Record the applied commit's actual write bbox (tighter than the
-    // search window) for the validation of later nets.
-    for (const auto& [v, m] : outcomes[k].colors) {
-      const grid::VertexLoc l = grid.loc(v);
-      if (commit_live[k] == 0) {
-        commit_live[k] = 1;
-        commit_box[k] = {l.x, l.y, l.x, l.y};
-      } else {
-        commit_box[k].lo.x = std::min(commit_box[k].lo.x, l.x);
-        commit_box[k].lo.y = std::min(commit_box[k].lo.y, l.y);
-        commit_box[k].hi.x = std::max(commit_box[k].hi.x, l.x);
-        commit_box[k].hi.y = std::max(commit_box[k].hi.y, l.y);
-      }
-    }
-    apply_outcome(grid, outcomes[k]);
-    last_applied = k;
-    solution.routes[static_cast<size_t>(nets[k])] = std::move(outcomes[k].route);
+    RouteOutcome outcome = compute_route_guarded(grid, search, id);
+    apply_outcome(grid, outcome);
+    set_last_colors(outcome);
+    solution.routes[static_cast<size_t>(id)] = std::move(outcome.route);
   }
-  // last_colors() tracks the final *applied* net of `nets`, same as the
-  // serial loop, so the accessor stays thread-count-independent. (colors
-  // survive the route move above.)
-  if (last_applied != nets.size()) set_last_colors(outcomes[last_applied]);
-  stats_.route_batches += 1;
-  stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
+  if (!nets.empty()) {
+    stats_.route_batches += 1;
+    stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
+  }
   stats_.reroute_s += timer.elapsed_s();
+}
+
+void MrTplRouter::mark_skipped(grid::Solution& solution, db::NetId id) {
+  grid::NetRoute& r = solution.routes[static_cast<size_t>(id)];
+  r = grid::NetRoute{};
+  r.net = id;
+  r.disposition = grid::NetDisposition::kSkipped;
 }
 
 grid::Solution MrTplRouter::run(grid::RoutingGrid& grid) {
@@ -579,102 +470,37 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
   stats_ = RouterStats{};
   budget_.arm(budget);
   extra_margin_.assign(static_cast<size_t>(design_.num_nets()), 0);
-  grid::Solution solution;
-  solution.routes.resize(static_cast<size_t>(design_.num_nets()));
-  // Dead nets never enter net_order(); mark them trivially routed up front
-  // so the final failed-net count and the dispositions stay honest.
-  for (const auto& net : design_.nets()) {
-    if (!net.pins.empty()) continue;
-    grid::NetRoute& r = solution.routes[static_cast<size_t>(net.id)];
-    r.net = net.id;
-    r.routed = true;
-    r.disposition = grid::NetDisposition::kRouted;
-  }
-
-  ColorSearch search(grid, config_);
-  if (budget_.active()) search.set_budget(&budget_);
-  const auto order = net_order();
 
   // Incremental conflict engine: subscribes to the grid's dirty log so
-  // each detection pass costs O(rip delta × window), not O(die). The
-  // full-rescan oracle remains behind the toggle. Constructed before any
-  // commit (including a checkpoint restore below) so its log sees every
-  // change since the empty grid.
-  std::unique_ptr<ConflictIndex> index;
-  if (config_.incremental_conflicts) index = std::make_unique<ConflictIndex>(grid);
-  auto detect = [&] {
-    util::Timer t;
-    auto conflicts = index ? index->conflicts() : detect_conflicts(grid);
-    stats_.detect_s += t.elapsed_s();
-    return conflicts;
-  };
+  // each detection pass costs O(rip delta × window), not O(die).
+  // Constructed before any commit (including a checkpoint restore below)
+  // so its log sees every change since the empty grid.
+  ConflictIndex index(grid);
 
-  // Batched executor state: one pool, one SearchArena, and one ColorSearch
-  // per worker for the whole run — after the first few nets warm the
-  // arenas, the parallel hot path allocates nothing. Arenas are declared
-  // before the searches that borrow them so they outlive them.
-  std::unique_ptr<util::ThreadPool> pool;
-  std::vector<std::unique_ptr<SearchArena>> worker_arenas;
-  std::vector<std::unique_ptr<ColorSearch>> worker_searches;
-  if (config_.rrr_threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(config_.rrr_threads);
-    worker_arenas.reserve(static_cast<size_t>(pool->size()));
-    worker_searches.reserve(static_cast<size_t>(pool->size()));
-    for (int i = 0; i < pool->size(); ++i) {
-      worker_arenas.push_back(std::make_unique<SearchArena>());
-      worker_searches.push_back(
-          std::make_unique<ColorSearch>(grid, config_, *worker_arenas.back()));
-      if (budget_.active()) worker_searches.back()->set_budget(&budget_);
+  // Tiled executor state: one pool, and one SearchArena and ColorSearch
+  // per worker, for the whole run — after the first few nets warm the
+  // arenas, the parallel hot path allocates nothing. Threads only pay
+  // with tiles, so without shard_tiles > 1 every pass runs serially.
+  Workers workers;
+  if (config_.rrr_threads > 1 && config_.shard_tiles > 1) {
+    workers.pool = std::make_unique<util::ThreadPool>(config_.rrr_threads);
+    for (int i = 0; i < workers.pool->size(); ++i) {
+      workers.arenas.push_back(std::make_unique<SearchArena>());
+      workers.searches.push_back(
+          std::make_unique<ColorSearch>(grid, config_, *workers.arenas.back()));
+      if (budget_.active()) workers.searches.back()->set_budget(&budget_);
     }
   }
 
-  auto current_score = [&](const std::vector<Conflict>& conflicts) {
-    int failed = 0;
-    for (const auto& r : solution.routes)
-      if (!r.routed && r.net != db::kNoNet) ++failed;
-    return iterate_score(static_cast<int>(conflicts.size()),
-                         grid::count_stitches(grid, solution), failed);
-  };
-  LayoutSnapshot best;
-
-  // Clean-boundary checkpointing. A boundary is captured only while the
-  // budget has NOT tripped — every captured state is one an uninterrupted
-  // run also passes through, which is what makes resume-then-finish
-  // byte-identical to never-interrupted (test_snapshot_restore). Tripping
-  // mid-pass leaves skipped nets in `solution`, so the latch check also
-  // keeps those states out of checkpoints.
-  RouterCheckpoint pending;
-  bool have_pending = false;
-  auto capture_boundary = [&](int next_iter) {
-    if (checkpoint == nullptr || budget_.tripped()) return;
-    pending.valid = true;
-    pending.iteration = next_iter;
-    pending.solution = solution;
-    pending.masks.clear();
-    pending.masks.reserve(solution.routes.size());
-    for (const auto& route : solution.routes) {
-      std::vector<grid::Mask> route_masks;
-      for (const grid::VertexId v : route.vertices())
-        route_masks.push_back(grid.mask(v));
-      pending.masks.push_back(std::move(route_masks));
-    }
-    pending.history.resize(grid.num_vertices());
-    for (grid::VertexId v = 0; v < grid.num_vertices(); ++v)
-      pending.history[v] = static_cast<float>(grid.history(v));
-    pending.extra_margin = extra_margin_;
-    pending.conflicts_per_iter = stats_.conflicts_per_iter;
-    pending.best_solution = best.solution;
-    pending.best_masks = best.masks;
-    pending.best_score = best.score;
-    have_pending = true;
-  };
-
+  grid::Solution solution;
+  std::vector<db::NetId> work = net_order();
   int start_iter = 0;
+  LayoutSnapshot best;
   if (checkpoint != nullptr && checkpoint->valid) {
-    // Resume: replay the checkpoint into the fresh grid. commit_route
-    // rebuilds owners/masks/congestion counts; history is restored
-    // directly; the conflict index (subscribed above) absorbs the commits
-    // through the dirty log like any route pass.
+    // Resume: replay the checkpoint into the fresh grid instead of the
+    // initial pass. commit_route rebuilds owners/masks/congestion counts;
+    // history is restored directly; the conflict index absorbs the
+    // commits through the dirty log like any route pass.
     solution = checkpoint->solution;
     for (size_t i = 0; i < solution.routes.size(); ++i)
       grid::commit_route(grid, solution.routes[i], checkpoint->masks[i]);
@@ -691,21 +517,122 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
       best.score = checkpoint->best_score;
     }
     start_iter = checkpoint->iteration;
-    // Re-capture the restored state: if this run is interrupted again
-    // before reaching a new boundary, the written-back checkpoint equals
-    // the one we resumed from instead of invalidating it.
-    capture_boundary(start_iter);
-  } else {
-    // Fig. 2 middle column: route every net once.
-    route_list(grid, search, pool.get(), worker_arenas, worker_searches, order,
-               solution);
-    capture_boundary(0);
+    work.clear();
   }
+  rip_and_reroute(grid, index, workers.pool ? &workers : nullptr, work, start_iter,
+                  std::move(best), solution, checkpoint);
+
+  if (solution.degraded())
+    util::warn("mrtpl",
+               util::format("budget expired: stopping after %d RRR iteration(s) "
+                            "(%d partial, %d skipped net(s) in returned iterate)",
+                            stats_.rrr_iterations, solution.num_partial(),
+                            solution.num_skipped()));
+  stats_.runtime_s = timer.elapsed_s();
+  return solution;
+}
+
+grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
+                                          ConflictIndex& index,
+                                          const std::vector<db::NetId>& dirty,
+                                          grid::Solution& solution,
+                                          const RouteBudget& budget) {
+  util::Timer timer;
+  stats_ = RouterStats{};
+  budget_.arm(budget);
+  extra_margin_.assign(static_cast<size_t>(design_.num_nets()), 0);
+
+  // Worklist: the dirty nets in global heuristic order (dedup'd, dead and
+  // out-of-range ids dropped). Sessions are strictly serial — no pool —
+  // so live apply and journal replay walk the identical code path.
+  std::vector<char> is_dirty(static_cast<size_t>(design_.num_nets()), 0);
+  for (const db::NetId id : dirty)
+    if (id >= 0 && id < design_.num_nets() && design_.net(id).degree() > 0)
+      is_dirty[static_cast<size_t>(id)] = 1;
+  std::vector<db::NetId> work;
+  for (const db::NetId id : net_order())
+    if (is_dirty[static_cast<size_t>(id)]) work.push_back(id);
+
+  rip_and_reroute(grid, index, nullptr, work, 0, LayoutSnapshot{}, solution, nullptr);
+  stats_.runtime_s = timer.elapsed_s();
+  return solution.status;
+}
+
+void MrTplRouter::rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
+                                  Workers* workers,
+                                  const std::vector<db::NetId>& work,
+                                  int start_iter, LayoutSnapshot best,
+                                  grid::Solution& solution,
+                                  RouterCheckpoint* checkpoint) {
+  // Dead nets (zero pins — ECO tombstones) never enter net_order(); their
+  // entries become trivially-routed markers so the failed-net count and
+  // the dispositions stay honest. Their metal, if any, was released by
+  // the caller.
+  solution.routes.resize(static_cast<size_t>(design_.num_nets()));
+  for (const auto& net : design_.nets()) {
+    if (!net.pins.empty()) continue;
+    grid::NetRoute& r = solution.routes[static_cast<size_t>(net.id)];
+    r = grid::NetRoute{};
+    r.net = net.id;
+    r.routed = true;
+    r.disposition = grid::NetDisposition::kRouted;
+  }
+
+  ColorSearch search(grid, config_);
+  if (budget_.active()) search.set_budget(&budget_);
+  const auto order = net_order();
+
+  auto detect = [&] {
+    util::Timer t;
+    auto conflicts = index.conflicts();
+    stats_.detect_s += t.elapsed_s();
+    return conflicts;
+  };
+  auto current_score = [&](const std::vector<Conflict>& conflicts) {
+    int failed = 0;
+    for (const auto& r : solution.routes)
+      if (!r.routed && r.net != db::kNoNet) ++failed;
+    return iterate_score(static_cast<int>(conflicts.size()),
+                         grid::count_stitches(grid, solution), failed);
+  };
+
+  // Clean-boundary checkpointing. A boundary is captured only while the
+  // budget has NOT tripped — every captured state is one an uninterrupted
+  // run also passes through, which is what makes resume-then-finish
+  // byte-identical to never-interrupted (test_snapshot_restore). Tripping
+  // mid-pass leaves skipped nets in `solution`, so the latch check also
+  // keeps those states out of checkpoints.
+  RouterCheckpoint pending;
+  bool have_pending = false;
+  auto capture_boundary = [&](int next_iter) {
+    if (checkpoint == nullptr || budget_.tripped()) return;
+    LayoutSnapshot now = LayoutSnapshot::capture(grid, solution, 0.0);
+    pending.valid = true;
+    pending.iteration = next_iter;
+    pending.solution = std::move(now.solution);
+    pending.masks = std::move(now.masks);
+    pending.history.resize(grid.num_vertices());
+    for (grid::VertexId v = 0; v < grid.num_vertices(); ++v)
+      pending.history[v] = static_cast<float>(grid.history(v));
+    pending.extra_margin = extra_margin_;
+    pending.conflicts_per_iter = stats_.conflicts_per_iter;
+    pending.best_solution = best.solution;
+    pending.best_masks = best.masks;
+    pending.best_score = best.score;
+    have_pending = true;
+  };
+
+  // Fig. 2 middle column: route the worklist once (empty on a resume).
+  route_list(grid, search, workers, work, solution);
+  capture_boundary(start_iter);
 
   // Fig. 2 left column: conflict detection + rip-up & reroute with
   // history cost, bounded by max iterations. Blockage failures (a pin
   // walled in by earlier nets) are handled the same way: the blockers in
   // the failed net's window are ripped and the failed net retries first.
+  // Seeded by an ECO delta, conflicts and failures can only arise where
+  // the edit touched (the pre-edit state was an accepted iterate), so
+  // ripping stays local in practice while remaining globally correct.
   for (int iter = start_iter; iter < config_.max_rrr_iterations; ++iter) {
     if (budget_.active() && budget_.expired(stats_.relaxations)) break;
     const auto conflicts = detect();
@@ -733,7 +660,7 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     // window retries with double the margin, up to the whole die — the
     // escape valve for blockage labyrinths whose only opening lies far
     // outside the bbox. Deterministic (depends only on the failure
-    // history), so the thread-count invariance is unaffected.
+    // history), so the configuration invariance is unaffected.
     const int margin_cap =
         std::max(design_.die().width(), design_.die().height());
     for (const db::NetId id : failed) {
@@ -759,12 +686,11 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     if (ripped.empty()) break;
     for (const db::NetId id : ripped)
       grid::release_route(grid, solution.routes[static_cast<size_t>(id)]);
-    route_list(grid, search, pool.get(), worker_arenas, worker_searches, ripped,
-               solution);
+    route_list(grid, search, workers, ripped, solution);
     // A success retires the net's widened window: the widening is an
     // escape valve for one failure episode, and letting it stick made
     // every later rip of the net search (and serialize against) a window
-    // up to the whole die. Depends only on routed flags, so thread-count
+    // up to the whole die. Depends only on routed flags, so configuration
     // invariance is unaffected.
     for (const db::NetId id : ripped)
       if (solution.routes[static_cast<size_t>(id)].routed)
@@ -783,6 +709,9 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
   }
   if (!best.masks.empty()) {
     best.restore(grid, solution);
+    // Copy-assign, not move: the copy reuses the caller's buffers, while
+    // adopting the snapshot's fresh ones fragments a resident session's
+    // heap edit after edit (+5% peak RSS over an ECO stream).
     solution = best.solution;
   }
 
@@ -791,161 +720,17 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
   // (an earlier, fully-routed iterate legitimately carries no partial or
   // skipped markers even on a degraded run).
   const bool degraded = budget_.active() && budget_.tripped();
-  if (degraded) {
-    solution.status = grid::SolutionStatus::kDegraded;
-    stats_.budget_hit = true;
-    util::warn("mrtpl",
-               util::format("budget expired: stopping after %d RRR iteration(s) "
-                            "(%d partial, %d skipped net(s) in returned iterate)",
-                            stats_.rrr_iterations, solution.num_partial(),
-                            solution.num_skipped()));
-  }
+  solution.status =
+      degraded ? grid::SolutionStatus::kDegraded : grid::SolutionStatus::kComplete;
+  stats_.budget_hit = degraded;
   if (checkpoint != nullptr) {
     if (degraded && have_pending)
       *checkpoint = std::move(pending);
     else
       checkpoint->valid = false;  // run completed, or no clean boundary reached
   }
-
-  for (const auto& r : solution.routes)
-    if (!r.routed) ++stats_.failed_nets;
-  stats_.runtime_s = timer.elapsed_s();
-  return solution;
-}
-
-grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
-                                          ConflictIndex* index,
-                                          const std::vector<db::NetId>& dirty,
-                                          grid::Solution& solution,
-                                          const RouteBudget& budget) {
-  util::Timer timer;
-  stats_ = RouterStats{};
-  budget_.arm(budget);
-  extra_margin_.assign(static_cast<size_t>(design_.num_nets()), 0);
-  solution.routes.resize(static_cast<size_t>(design_.num_nets()));
-  // Normalize dead-net entries (ECO removals) to the trivially-routed
-  // marker; their metal was released by the caller.
-  for (const auto& net : design_.nets()) {
-    if (!net.pins.empty()) continue;
-    grid::NetRoute& r = solution.routes[static_cast<size_t>(net.id)];
-    r = grid::NetRoute{};
-    r.net = net.id;
-    r.routed = true;
-    r.disposition = grid::NetDisposition::kRouted;
-  }
-
-  ColorSearch search(grid, config_);
-  if (budget_.active()) search.set_budget(&budget_);
-  std::vector<std::unique_ptr<SearchArena>> no_arenas;
-  std::vector<std::unique_ptr<ColorSearch>> no_workers;
-
-  // Worklist: the dirty nets in global heuristic order (dedup'd, dead and
-  // out-of-range ids dropped). Sessions are strictly serial — no pool —
-  // so live apply and journal replay walk the identical code path.
-  std::vector<char> is_dirty(static_cast<size_t>(design_.num_nets()), 0);
-  for (const db::NetId id : dirty)
-    if (id >= 0 && id < design_.num_nets() && design_.net(id).degree() > 0)
-      is_dirty[static_cast<size_t>(id)] = 1;
-  const auto order = net_order();
-  std::vector<db::NetId> work;
-  for (const db::NetId id : order)
-    if (is_dirty[static_cast<size_t>(id)]) work.push_back(id);
-
-  std::unique_ptr<ConflictIndex> own_index;
-  if (index == nullptr && config_.incremental_conflicts) {
-    own_index = std::make_unique<ConflictIndex>(grid);
-    index = own_index.get();
-  }
-  auto detect = [&] {
-    util::Timer t;
-    auto conflicts = index != nullptr ? index->conflicts() : detect_conflicts(grid);
-    stats_.detect_s += t.elapsed_s();
-    return conflicts;
-  };
-  auto current_score = [&](const std::vector<Conflict>& conflicts) {
-    int failed = 0;
-    for (const auto& r : solution.routes)
-      if (!r.routed && r.net != db::kNoNet) ++failed;
-    return iterate_score(static_cast<int>(conflicts.size()),
-                         grid::count_stitches(grid, solution), failed);
-  };
-  LayoutSnapshot best;
-
-  route_list(grid, search, nullptr, no_arenas, no_workers, work, solution);
-
-  // The localized RRR loop: same policy as run(), seeded by the edit's
-  // delta. Conflicts and failures can only arise where the edit touched
-  // (the pre-edit state was an accepted iterate), so ripping stays local
-  // in practice while remaining globally correct.
-  for (int iter = 0; iter < config_.max_rrr_iterations; ++iter) {
-    if (budget_.active() && budget_.expired(stats_.relaxations)) break;
-    const auto conflicts = detect();
-    stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    if (const double score = current_score(conflicts); score < best.score)
-      best = LayoutSnapshot::capture(grid, solution, score);
-    std::vector<db::NetId> failed;
-    for (const auto& r : solution.routes)
-      if (!r.routed && r.net != db::kNoNet) failed.push_back(r.net);
-    if (conflicts.empty() && failed.empty()) break;
-    stats_.rrr_iterations = iter + 1;
-
-    std::vector<char> rip(static_cast<size_t>(design_.num_nets()), 0);
-    const double hist = grid.tech().rules().history_increment;
-    for (const auto& c : conflicts) {
-      rip[static_cast<size_t>(c.net_a)] = 1;
-      rip[static_cast<size_t>(c.net_b)] = 1;
-      for (const auto& [v, u] : c.pairs) {
-        grid.add_history(v, hist);
-        grid.add_history(u, hist);
-      }
-    }
-    const int margin_cap =
-        std::max(design_.die().width(), design_.die().height());
-    for (const db::NetId id : failed) {
-      int& extra = extra_margin_[static_cast<size_t>(id)];
-      extra = std::min(margin_cap,
-                       extra == 0 ? config_.search_margin : 2 * extra);
-      rip[static_cast<size_t>(id)] = 1;
-      for (const db::NetId b :
-           blockers_of(grid, design_, id, config_.search_margin + extra))
-        rip[static_cast<size_t>(b)] = 1;
-    }
-    std::vector<db::NetId> ripped;
-    for (const db::NetId id : failed) {
-      ripped.push_back(id);
-      rip[static_cast<size_t>(id)] = 2;
-    }
-    for (const db::NetId id : order)
-      if (rip[static_cast<size_t>(id)] == 1) ripped.push_back(id);
-    if (ripped.empty()) break;
-    for (const db::NetId id : ripped)
-      grid::release_route(grid, solution.routes[static_cast<size_t>(id)]);
-    route_list(grid, search, nullptr, no_arenas, no_workers, ripped, solution);
-    for (const db::NetId id : ripped)
-      if (solution.routes[static_cast<size_t>(id)].routed)
-        extra_margin_[static_cast<size_t>(id)] = 0;
-  }
-  {
-    const auto conflicts = detect();
-    if (static_cast<int>(stats_.conflicts_per_iter.size()) ==
-        config_.max_rrr_iterations)
-      stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    if (const double score = current_score(conflicts); score < best.score)
-      best = LayoutSnapshot::capture(grid, solution, score);
-  }
-  if (!best.masks.empty()) {
-    best.restore(grid, solution);
-    solution = best.solution;
-  }
-
-  const bool degraded = budget_.active() && budget_.tripped();
-  solution.status =
-      degraded ? grid::SolutionStatus::kDegraded : grid::SolutionStatus::kComplete;
-  stats_.budget_hit = degraded;
   for (const auto& r : solution.routes)
     if (!r.routed && r.net != db::kNoNet) ++stats_.failed_nets;
-  stats_.runtime_s = timer.elapsed_s();
-  return solution.status;
 }
 
 }  // namespace mrtpl::core

@@ -34,10 +34,10 @@ struct RouterStats {
   int route_batches = 0;              ///< executor passes (one per route_list)
 
   /// Applied relaxations of each route_list pass, in pass order. The
-  /// entries always sum to `relaxations` — bench_rrr_parallel aborts if
-  /// the accounting ever drifts — and, like it, are independent of the
-  /// thread count (speculative work that fails validation is *not*
-  /// applied; it lands in wasted_relaxations instead).
+  /// entries always sum to `relaxations` and, like it, are independent of
+  /// the (tiles, threads) configuration — test_sharded's ShardSweep pins
+  /// both (speculative work that fails validation is *not* applied; it
+  /// lands in wasted_relaxations instead).
   std::vector<std::uint64_t> relaxations_per_pass;
   int speculated = 0;                 ///< speculative outcomes reaching commit
   int respeculated = 0;               ///< speculations redone serially
@@ -99,15 +99,15 @@ class MrTplRouter {
   /// Incremental ECO reroute for resident sessions. `dirty` names the nets
   /// whose routes the caller has already released from `grid` (plus any
   /// newly added nets); they are rerouted into the otherwise-committed
-  /// layout, then the standard RRR loop repairs whatever conflicts or
-  /// failures the delta caused — globally correct, local in practice.
-  /// `index` is the caller's resident conflict engine (null: one is built,
-  /// or the full-rescan oracle runs per config). Strictly serial, so a
-  /// journal replay of the same (state, dirty, budget) is byte-identical
-  /// to the live apply. `solution` is updated in place (entries resize to
-  /// the design; dead nets normalize to trivially-routed markers); returns
-  /// the run status (kDegraded when `budget` tripped).
-  grid::SolutionStatus reroute(grid::RoutingGrid& grid, ConflictIndex* index,
+  /// layout, then the same RRR driver run() uses repairs whatever
+  /// conflicts or failures the delta caused — globally correct, local in
+  /// practice. `index` is the caller's resident conflict engine over
+  /// `grid`. Strictly serial, so a journal replay of the same (state,
+  /// dirty, budget) is byte-identical to the live apply. `solution` is
+  /// updated in place (entries resize to the design; dead nets normalize
+  /// to trivially-routed markers); returns the run status (kDegraded when
+  /// `budget` tripped).
+  grid::SolutionStatus reroute(grid::RoutingGrid& grid, ConflictIndex& index,
                                const std::vector<db::NetId>& dirty,
                                grid::Solution& solution,
                                const RouteBudget& budget = {});
@@ -138,8 +138,8 @@ class MrTplRouter {
   /// Everything one net's routing produces, computed against a read-only
   /// grid: the tree, the chosen (vertex, mask) commits in commit order,
   /// and the search-effort counter. Committing an outcome is the only
-  /// grid mutation — which is what lets a batch of disjoint-window nets
-  /// compute concurrently and commit serially.
+  /// grid mutation — which is what lets the tiled executor compute nets
+  /// concurrently and commit them serially.
   struct RouteOutcome {
     grid::NetRoute route;
     std::vector<std::pair<grid::VertexId, grid::Mask>> colors;
@@ -150,7 +150,7 @@ class MrTplRouter {
     /// window before reading a candidate, so nothing outside the window is
     /// ever read. `read_tpl` covers the Dcolor congestion scans: the bbox
     /// of TPL-layer reads inflated by dcolor, usually far smaller than the
-    /// labeled bbox. The speculative executor validates commits against
+    /// labeled bbox. The tiled executor validates commits against
     /// the pair — strictly tighter than the old square max(dcolor, 1)
     /// inflation of the whole labeled bbox, and tightness only changes how
     /// many speculations are KEPT, never the routing output.
@@ -158,12 +158,6 @@ class MrTplRouter {
     geom::Rect read_tpl;
     bool has_read_near = false;
     bool has_read_tpl = false;
-
-    /// True when any earlier-applied commit box intersects the footprint.
-    [[nodiscard]] bool reads_overlap(const geom::Rect& box) const {
-      return (has_read_near && box.overlaps(read_near)) ||
-             (has_read_tpl && box.overlaps(read_tpl));
-    }
   };
 
   /// compute_route with every exception (injected allocation failures,
@@ -181,8 +175,8 @@ class MrTplRouter {
   /// A net's search scope: the guide actually applied (null when absent
   /// or empty) and the window (bbox ∪ guide bbox, inflated by
   /// search_margin, clamped to the die). The single source of truth
-  /// shared by compute_route and the batch scheduler, so the scheduler's
-  /// disjointness footprint can never desynchronize from the search.
+  /// shared by compute_route and the tile classifier, so a net's tile
+  /// ownership can never desynchronize from the search.
   struct SearchScope {
     const global::NetGuide* guide = nullptr;
     geom::Rect window;
@@ -212,19 +206,27 @@ class MrTplRouter {
   void apply_outcome(grid::RoutingGrid& grid, const RouteOutcome& outcome);
 
   /// Refresh the last_colors() accessor from an outcome. Kept separate
-  /// from apply_outcome so the batched executor can pin last_colors() to
-  /// the final net of the list regardless of which batch it landed in —
-  /// the accessor must not depend on the thread count either.
+  /// from apply_outcome so the tiled executor can pin last_colors() to
+  /// the final applied net of the list — the accessor must not depend on
+  /// the configuration either.
   void set_last_colors(const RouteOutcome& outcome);
 
-  /// Route `nets` in order, serially (pool == nullptr) or via the
-  /// deterministic disjoint-window batch executor, storing results in
-  /// `solution`. With config_.shard_tiles > 1 the speculative pass runs
-  /// tile-sharded (route_list_sharded, defined in sharded_router.cpp).
-  void route_list(grid::RoutingGrid& grid, ColorSearch& search,
-                  util::ThreadPool* pool,
-                  std::vector<std::unique_ptr<SearchArena>>& worker_arenas,
-                  std::vector<std::unique_ptr<ColorSearch>>& worker_searches,
+  /// Reset a solution entry to the kSkipped marker of a budget stop.
+  static void mark_skipped(grid::Solution& solution, db::NetId id);
+
+  /// The tiled executor's worker state: one pool, and one SearchArena and
+  /// ColorSearch per worker, built once per run(). Arenas are declared
+  /// before the searches that borrow them so they outlive them.
+  struct Workers {
+    std::unique_ptr<util::ThreadPool> pool;
+    std::vector<std::unique_ptr<SearchArena>> arenas;
+    std::vector<std::unique_ptr<ColorSearch>> searches;
+  };
+
+  /// Route `nets` in order, storing results in `solution`: serially when
+  /// `workers` is null, else on the tile-sharded executor
+  /// (route_list_sharded, defined in sharded_router.cpp).
+  void route_list(grid::RoutingGrid& grid, ColorSearch& search, Workers* workers,
                   const std::vector<db::NetId>& nets, grid::Solution& solution);
 
   /// The tile-sharded speculative executor (sharded_router.cpp): interior
@@ -237,11 +239,24 @@ class MrTplRouter {
   /// an outcome is applied only when its read footprint provably matches
   /// the serial-prefix state, else it is recomputed right there.
   void route_list_sharded(grid::RoutingGrid& grid, ColorSearch& search,
-                          util::ThreadPool* pool,
-                          std::vector<std::unique_ptr<SearchArena>>& worker_arenas,
-                          std::vector<std::unique_ptr<ColorSearch>>& worker_searches,
-                          const std::vector<db::NetId>& nets,
+                          Workers& workers, const std::vector<db::NetId>& nets,
                           grid::Solution& solution);
+
+  struct LayoutSnapshot;  // best-iterate keeper, mrtpl_router.cpp
+
+  /// The Fig. 2 rip-up-and-reroute driver behind both run() and reroute():
+  /// normalizes dead nets, routes `work` once, then detects conflicts
+  /// (through `index`), scores and keeps the best iterate, adds history,
+  /// rips, widens the windows of failed nets and reroutes — from
+  /// iteration `start_iter` with `best` as the best iterate so far — until
+  /// clean or max_rrr_iterations. Finally restores the best iterate and
+  /// sets the degraded status. `workers` null routes serially. With
+  /// `checkpoint` non-null the last clean iteration boundary is written
+  /// back into it on a budget stop (valid=false otherwise).
+  void rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
+                       Workers* workers, const std::vector<db::NetId>& work,
+                       int start_iter, LayoutSnapshot best,
+                       grid::Solution& solution, RouterCheckpoint* checkpoint);
 
   const db::Design& design_;
   const global::GuideSet* guides_;
@@ -259,8 +274,8 @@ class MrTplRouter {
   /// valve for labyrinth-style blockages whose only opening lies far
   /// outside the net's bbox (scenario macro mazes) — and drops back to
   /// zero the moment the net routes. Mutated only between route passes on
-  /// the main thread; net_scope reads it, so the batch scheduler's
-  /// footprints track the widened windows automatically.
+  /// the main thread; net_scope reads it, so tile ownership tracks the
+  /// widened windows automatically.
   std::vector<int> extra_margin_;
 };
 

@@ -21,14 +21,14 @@ struct RouterConfig {
   /// `bench_ablation_rrr` "negotiated baseline" ablation.
   bool rrr_on_color_conflicts = true;
 
-  /// Worker threads of the speculative rip-up-and-reroute executor. With
-  /// N >= 2 every ripped net of a pass computes concurrently against the
-  /// pass-start grid; results commit on the main thread strictly in
-  /// ripped order, and a speculation whose read footprint an earlier
-  /// commit landed in is recomputed serially at its commit slot. Applied
-  /// results are the serial loop's by construction, so output is
-  /// byte-identical for every thread count; 1 runs the reference serial
-  /// path.
+  /// Worker threads of the tile-sharded executor. Threads parallelize
+  /// only together with shard_tiles > 1: each pass then computes tiles
+  /// and boundary nets concurrently against the pass-start grid and
+  /// commits on the main thread strictly in ripped order, redoing any
+  /// speculation an earlier commit invalidated. Without tiles every pass
+  /// runs serially and no pool is built. Applied results are the serial
+  /// loop's by construction, so output is byte-identical for every thread
+  /// count.
   int rrr_threads = 1;
 
   /// Die tiling of the sharded speculative executor (core::ShardedRouter /
@@ -36,18 +36,12 @@ struct RouterConfig {
   /// tiles; a net whose halo-inflated search window fits inside one tile
   /// is *interior* to it and computes sequentially against that tile's
   /// GridView (intra-tile dependencies exact, O(tile) memory), nets
-  /// crossing tile boundaries join the boundary pool and speculate flat.
-  /// Output is byte-identical for every (shard_tiles, rrr_threads)
-  /// configuration — validation at commit decides what is KEPT, never
-  /// what the result is. 1 disables sharding (the flat PR-6 executor);
-  /// takes effect only with rrr_threads >= 2.
+  /// crossing tile boundaries join the boundary pool and speculate
+  /// against the shared grid. Output is byte-identical for every
+  /// (shard_tiles, rrr_threads) configuration — validation at commit
+  /// decides what is KEPT, never what the result is. Takes effect only
+  /// with rrr_threads >= 2; 1 routes serially.
   int shard_tiles = 1;
-
-  /// Maintain the violating-pair set incrementally (core::ConflictIndex,
-  /// fed by the grid's dirty log) instead of rescanning the whole die
-  /// every RRR iteration. Identical conflicts; detection cost scales with
-  /// the rip delta. Off falls back to the detect_conflicts debug oracle.
-  bool incremental_conflicts = true;
 
   // ---- search window ---------------------------------------------------
   /// Hard clamp: search stays within the net bbox united with its guide

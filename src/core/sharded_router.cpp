@@ -33,11 +33,10 @@ grid::Solution ShardedRouter::run(grid::RoutingGrid& grid,
   return router_.run(grid, budget, checkpoint);
 }
 
-/// The tile-sharded speculative pass. Same contract as the flat executor
-/// in route_list (mrtpl_router.cpp): every applied outcome is the one the
-/// serial loop would have produced at that slot, so the solution — and the
-/// applied-relaxations ledger — is byte-identical for every
-/// (shard_tiles, rrr_threads) configuration.
+/// The tile-sharded speculative pass. Every applied outcome is the one the
+/// serial loop in route_list (mrtpl_router.cpp) would have produced at
+/// that slot, so the solution — and the applied-relaxations ledger — is
+/// byte-identical for every (shard_tiles, rrr_threads) configuration.
 ///
 /// Phase A (parallel, main grid frozen): one task per tile holding
 /// interior nets plus one per boundary net. A tile task materializes a
@@ -57,25 +56,18 @@ grid::Solution ShardedRouter::run(grid::RoutingGrid& grid,
 /// same-tile predecessors applied as-speculated are exactly what its view
 /// held. Stale nets recompute serially on the spot, where the grid holds
 /// the exact serial-prefix state. Both indices are geom::SpatialGrid, so
-/// the walk costs O(n · window) instead of the flat executor's O(n²)
-/// commit-log scan.
-void MrTplRouter::route_list_sharded(
-    grid::RoutingGrid& grid, ColorSearch& search, util::ThreadPool* pool,
-    std::vector<std::unique_ptr<SearchArena>>& worker_arenas,
-    std::vector<std::unique_ptr<ColorSearch>>& worker_searches,
-    const std::vector<db::NetId>& nets, grid::Solution& solution) {
+/// the walk costs O(n · window) rather than an O(n²) commit-log scan.
+void MrTplRouter::route_list_sharded(grid::RoutingGrid& grid, ColorSearch& search,
+                                     Workers& workers,
+                                     const std::vector<db::NetId>& nets,
+                                     grid::Solution& solution) {
   util::Timer timer;
   const std::uint64_t pass_relax_base = stats_.relaxations;
-  auto mark_skipped = [&](db::NetId id) {
-    grid::NetRoute& r = solution.routes[static_cast<size_t>(id)];
-    r = grid::NetRoute{};
-    r.net = id;
-    r.disposition = grid::NetDisposition::kSkipped;
-  };
-  // Already expired at pass start: identical to the flat executor's
-  // whole-pass skip, so the pass accounting stays configuration-invariant.
+  // Already expired at pass start: skip the whole pass without a pool
+  // dispatch. The serial loop skips every net of such a pass too, so the
+  // pass accounting stays configuration-invariant.
   if (budget_.active() && budget_.expired(stats_.relaxations)) {
-    for (const db::NetId id : nets) mark_skipped(id);
+    for (const db::NetId id : nets) mark_skipped(solution, id);
     stats_.route_batches += 1;
     stats_.relaxations_per_pass.push_back(0);
     stats_.reroute_s += timer.elapsed_s();
@@ -84,8 +76,8 @@ void MrTplRouter::route_list_sharded(
 
   // ---- classify: interior-to-tile vs boundary pool ---------------------
   // Ownership depends only on (die, shard_tiles, windows) — never on the
-  // thread count — and the windows are the same net_scope the flat
-  // executor and the search itself use.
+  // thread count — and the windows are the same net_scope the search
+  // itself uses.
   const int halo = std::max(grid.dcolor(), 1);
   const shard::TilePlan plan(design_.die(), config_.shard_tiles);
   std::vector<int> tile_of(nets.size());
@@ -114,15 +106,18 @@ void MrTplRouter::route_list_sharded(
   // every task. Task-to-worker assignment only picks which arena warms up;
   // outcomes are slot-indexed and the per-tile order is the ripped order.
   std::vector<RouteOutcome> outcomes(nets.size());
-  pool->for_each(tasks.size(), [&](size_t t, int worker) {
+  // The guarded wrapper keeps a throwing worker (injected allocation
+  // failure) from leaving its slot empty — for_each would rethrow after
+  // the drain and the net would silently vanish.
+  workers.pool->for_each(tasks.size(), [&](size_t t, int worker) {
     const ShardTask& task = tasks[t];
     if (task.tile < 0) {
       outcomes[task.net] = compute_route_guarded(
-          grid, *worker_searches[static_cast<size_t>(worker)], nets[task.net]);
+          grid, *workers.searches[static_cast<size_t>(worker)], nets[task.net]);
       return;
     }
     grid::GridView view(grid, plan.tile(task.tile));
-    ColorSearch vsearch(view, config_, *worker_arenas[static_cast<size_t>(worker)]);
+    ColorSearch vsearch(view, config_, *workers.arenas[static_cast<size_t>(worker)]);
     if (budget_.active()) vsearch.set_budget(&budget_);
     for (const size_t k : tile_nets[static_cast<size_t>(task.tile)]) {
       outcomes[k] = compute_route_guarded(view, vsearch, nets[k]);
@@ -145,7 +140,7 @@ void MrTplRouter::route_list_sharded(
       // too — no view ever validated against a skipped predecessor's
       // phantom commit, hence no hazard entry is needed here.
       stats_.wasted_relaxations += outcomes[k].relaxations;
-      mark_skipped(nets[k]);
+      mark_skipped(solution, nets[k]);
       continue;
     }
     ++stats_.speculated;
@@ -218,8 +213,8 @@ void MrTplRouter::route_list_sharded(
     last_applied = k;
     solution.routes[static_cast<size_t>(nets[k])] = std::move(outcomes[k].route);
   }
-  // last_colors() tracks the final applied net, same as the flat/serial
-  // executors, so the accessor stays configuration-independent.
+  // last_colors() tracks the final applied net, same as the serial loop,
+  // so the accessor stays configuration-independent.
   if (last_applied != nets.size()) set_last_colors(outcomes[last_applied]);
   stats_.route_batches += 1;
   stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);

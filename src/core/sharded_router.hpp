@@ -15,8 +15,8 @@
 ///     its interior nets SEQUENTIALLY in ripped order, committing each
 ///     result into the view — intra-tile dependencies are exact, not
 ///     speculative, which is what makes speculation stick on dense dies.
-///     Boundary nets speculate flat against the shared pass-start grid,
-///     exactly like the PR-6 executor. Nothing commits to the real grid.
+///     Boundary nets speculate directly against the shared pass-start
+///     grid. Nothing commits to the real grid.
 ///  3. RECONCILE (serial). One commit walk in global ripped order. An
 ///     interior outcome is stale only if a *hazard* — an applied boundary
 ///     commit, or an earlier redo that diverged from its speculation —
@@ -25,12 +25,12 @@
 ///     earlier applied commit did. Stale nets recompute serially on the
 ///     spot, against the exact serial-prefix grid. Hazard/commit boxes
 ///     live in geom::SpatialGrid indices, so the walk is O(n · window)
-///     rather than the flat executor's O(n²) scan.
+///     rather than an O(n²) commit-log scan.
 ///
 /// Every applied outcome therefore equals the serial loop's, so the final
 /// solution is byte-identical for any (tiles, threads) configuration —
-/// pinned by test_determinism's tiles × threads sweep the same way PR 2/6
-/// pinned rrr_threads.
+/// pinned by test_sharded's ShardSweep and test_determinism's
+/// ShardSweepDeterminism over tiles × threads.
 ///
 /// The facade below is a thin, explicitly-sharded MrTplRouter: it owns
 /// the tile plan, forces shard_tiles >= 1, and defaults rrr_threads to at

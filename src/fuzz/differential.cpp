@@ -59,7 +59,10 @@ OracleReport check_design(const db::Design& design, const OracleOptions& options
 
   std::string reference;  // serialized solution of thread_counts[0]
   for (size_t t = 0; t < options.thread_counts.size(); ++t) {
+    // Threads only parallelize with tiles: every multi-threaded entry runs
+    // the tiled executor, so the determinism check pits it against serial.
     config.rrr_threads = options.thread_counts[t];
+    config.shard_tiles = options.thread_counts[t] > 1 ? 4 : 1;
     try {
       grid::RoutingGrid grid(design);
       core::MrTplRouter router(design, &guides, config);

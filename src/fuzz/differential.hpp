@@ -33,8 +33,9 @@ struct OracleOptions {
   /// RRR iteration cap per routed case — fuzz cases prize coverage per
   /// second over routing quality.
   int max_rrr = 3;
-  /// Thread counts the determinism check sweeps. The first entry is the
-  /// reference serialization.
+  /// Thread counts the determinism check sweeps; entries above 1 run the
+  /// tiled executor at 4 tiles. The first entry is the reference
+  /// serialization.
   std::vector<int> thread_counts = {1, 2};
   /// Also route with the DAC'12 baseline and DRC-check it.
   bool run_dac12 = true;

@@ -39,7 +39,8 @@ struct RunnerOptions {
   /// spent outside the routing loop.
   double timeout_s = 0.0;
 
-  /// Base router configuration; `rrr_threads` is the suite's --threads.
+  /// Base router configuration; `rrr_threads` and `shard_tiles` are the
+  /// suite's --threads and --tiles (threads parallelize only with tiles).
   core::RouterConfig config;
 };
 

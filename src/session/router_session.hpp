@@ -163,7 +163,7 @@ class RouterSession {
   [[nodiscard]] const global::GuideSet* guides() const {
     return has_guides_ ? &guides_ : nullptr;
   }
-  [[nodiscard]] core::ConflictIndex* conflict_index() { return index_.get(); }
+  [[nodiscard]] core::ConflictIndex& conflict_index() { return *index_; }
 
   /// Committed edits so far (0 right after a fresh construction).
   [[nodiscard]] std::uint64_t seq() const { return seq_; }

@@ -11,7 +11,7 @@
 ///                    label-array growth ran out of memory. The router
 ///                    marks the net failed and retries it on a later RRR
 ///                    iteration.
-///   spec_invalidate  The speculative RRR executor treats a speculation
+///   spec_invalidate  The tiled RRR executor treats a speculation
 ///                    as stale and recomputes it serially. Output is
 ///                    unchanged by construction (the redo IS the serial
 ///                    result); the site exercises the redo path.

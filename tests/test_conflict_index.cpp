@@ -15,7 +15,6 @@
 #include "core/conflict_index.hpp"
 #include "core/mrtpl_router.hpp"
 #include "global/global_router.hpp"
-#include "io/solution_io.hpp"
 #include "support/builders.hpp"
 #include "util/rng.hpp"
 
@@ -166,21 +165,31 @@ TEST(ConflictIndex, BatchedMutationsBetweenQueries) {
   }
 }
 
-/// End-to-end: the full Mr.TPL flow must serialize identically with the
-/// incremental engine on and off.
-TEST(ConflictIndex, FlowIdenticalWithAndWithoutIncremental) {
+/// End-to-end through the RRR driver: a session-style reroute over a
+/// caller-owned index (dirty nets released first, as RouterSession does)
+/// must leave that index exactly in step with the full-rescan oracle.
+TEST(ConflictIndex, RerouteKeepsCallerIndexInStepWithRescan) {
   const db::Design design = benchgen::generate(test::sized_case(40, 55, 123));
   global::GlobalRouter gr(design);
   const global::GuideSet guides = gr.route_all();
-  auto run_with = [&](bool incremental) {
-    grid::RoutingGrid grid(design);
-    core::RouterConfig cfg;
-    cfg.incremental_conflicts = incremental;
-    core::MrTplRouter router(design, &guides, cfg);
-    const grid::Solution sol = router.run(grid);
-    return io::solution_to_string(grid, sol);
-  };
-  EXPECT_EQ(run_with(true), run_with(false));
+  grid::RoutingGrid grid(design);
+  core::RouterConfig cfg;
+  cfg.max_rrr_iterations = 1;  // a rough layout: fewer RRR rounds than the reroute gets
+  MrTplRouter router(design, &guides, cfg);
+  grid::Solution solution = router.run(grid);
+
+  ConflictIndex index(grid);
+  expect_matches_oracle(grid, index, 0);
+  std::vector<db::NetId> dirty;
+  for (db::NetId id = 0; id < design.num_nets(); id += 3) {
+    grid::release_route(grid, solution.routes[static_cast<size_t>(id)]);
+    dirty.push_back(id);
+  }
+  MrTplRouter rerouter(design, &guides, core::RouterConfig{});
+  (void)rerouter.reroute(grid, index, dirty, solution);
+  EXPECT_GT(rerouter.stats().relaxations, 0u);
+  EXPECT_FALSE(rerouter.stats().conflicts_per_iter.empty());
+  expect_matches_oracle(grid, index, 1);
 }
 
 }  // namespace

@@ -38,9 +38,10 @@ benchgen::CaseSpec small_spec(std::uint64_t seed) {
   return spec;
 }
 
-grid::Solution route(const db::Design& design, int threads, int rrr,
+grid::Solution route(const db::Design& design, int tiles, int threads, int rrr,
                      grid::RoutingGrid& grid, core::RouterStats* stats = nullptr) {
   core::RouterConfig cfg;
+  cfg.shard_tiles = tiles;
   cfg.rrr_threads = threads;
   cfg.max_rrr_iterations = rrr;
   core::MrTplRouter router(design, nullptr, cfg);
@@ -126,7 +127,7 @@ TEST_F(FaultInjectorTest, SearchFailRecoversThroughRrrRetry) {
 
   // Baseline without faults.
   grid::RoutingGrid grid_ref(design);
-  const grid::Solution ref = route(design, 1, 4, grid_ref);
+  const grid::Solution ref = route(design, 1, 1, 4, grid_ref);
 
   // Every net's first attempt fails; the RRR loop rips and retries, and
   // the keyed once-per-net rule lets every retry succeed. The recovered
@@ -137,7 +138,7 @@ TEST_F(FaultInjectorTest, SearchFailRecoversThroughRrrRetry) {
   ASSERT_TRUE(inj.configure("search_fail:1"));
   grid::RoutingGrid grid(design);
   core::RouterStats stats;
-  const grid::Solution solution = route(design, 1, 4, grid, &stats);
+  const grid::Solution solution = route(design, 1, 1, 4, grid, &stats);
   const std::uint64_t fired = inj.fired(FaultSite::kSearchFail);
   inj.disarm();
 
@@ -160,7 +161,7 @@ TEST_F(FaultInjectorTest, ArenaGrowFailureIsContained) {
 
   grid::RoutingGrid grid(design);
   grid::Solution solution;
-  ASSERT_NO_THROW(solution = route(design, 1, 6, grid));
+  ASSERT_NO_THROW(solution = route(design, 1, 1, 6, grid));
   EXPECT_GT(inj.fired(FaultSite::kArenaGrow), 0u) << "site never triggered";
   inj.disarm();
 
@@ -176,16 +177,16 @@ TEST_F(FaultInjectorTest, ForcedSpeculationInvalidationKeepsOutputIdentical) {
   const db::Design design = benchgen::generate(small_spec(23));
 
   grid::RoutingGrid grid_ref(design);
-  const grid::Solution ref = route(design, 1, 3, grid_ref);
+  const grid::Solution ref = route(design, 1, 1, 3, grid_ref);
   const std::string ref_text = io::solution_to_string(grid_ref, ref);
 
-  // Force EVERY speculation stale: the parallel executor redoes each net
+  // Force EVERY speculation stale: the tiled executor redoes each net
   // serially, which must reproduce the serial result byte for byte.
   auto& inj = FaultInjector::instance();
   ASSERT_TRUE(inj.configure("spec_invalidate:1"));
   grid::RoutingGrid grid(design);
   core::RouterStats stats;
-  const grid::Solution solution = route(design, 2, 3, grid, &stats);
+  const grid::Solution solution = route(design, 4, 2, 3, grid, &stats);
   EXPECT_GT(inj.fired(FaultSite::kSpecInvalidate), 0u) << "site never triggered";
   EXPECT_GT(stats.respeculated, 0);
   EXPECT_EQ(io::solution_to_string(grid, solution), ref_text);

@@ -3,7 +3,8 @@
 ///  - an unlimited / never-tripping budget is invisible (byte-identical
 ///    output to the unbudgeted path);
 ///  - a relaxation budget degrades DETERMINISTICALLY: same solution for
-///    every thread count, kDegraded status, accurate per-net dispositions;
+///    serial and every tiled thread count, kDegraded status, accurate
+///    per-net dispositions;
 ///  - a pre-set cancel flag / microscopic deadline stop the run before it
 ///    routes anything, still returning a structurally consistent layout.
 
@@ -30,9 +31,11 @@ benchgen::CaseSpec congested_spec(std::uint64_t seed) {
   return spec;
 }
 
+/// threads > 1 runs the tiled executor (4 tiles); threads == 1 is serial.
 RouterConfig base_config(int threads = 1) {
   RouterConfig cfg;
   cfg.max_rrr_iterations = 4;
+  cfg.shard_tiles = threads > 1 ? 4 : 1;
   cfg.rrr_threads = threads;
   return cfg;
 }

@@ -224,7 +224,7 @@ TEST(SearchArenaReuse, AlternatingSearchesShareOneArena) {
   }
 }
 
-/// End-to-end reuse sanity at router scale: the speculative executor's
+/// End-to-end reuse sanity at router scale: the tiled executor's
 /// per-worker arenas route the same solution whether the run is the
 /// first or the hundredth use of the worker state. (The router rebuilds
 /// workers per run; this guards the arena against *intra*-run drift by
@@ -237,6 +237,7 @@ TEST(SearchArenaReuse, RouterRunsAreStableUnderArenaReuse) {
   auto run_once = [&] {
     grid::RoutingGrid grid(design);
     core::RouterConfig cfg;
+    cfg.shard_tiles = 4;
     cfg.rrr_threads = 2;
     core::MrTplRouter router(design, &guides, cfg);
     const grid::Solution sol = router.run(grid);

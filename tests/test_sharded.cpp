@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "benchgen/generator.hpp"
 #include "core/sharded_router.hpp"
 #include "global/global_router.hpp"
@@ -89,28 +91,40 @@ TEST(ShardedRouter, NormalizesConfig) {
 
 /// The headline byte-identity contract, on a die large enough that the
 /// 4x4 plan actually classifies interior nets (margin 6 + halo windows
-/// need room inside a tile).
+/// need room inside a tile). The applied-relaxations ledger is pinned
+/// alongside: per-pass entries sum to the total, and the total is the
+/// same for every configuration (discarded speculation never counts).
 class ShardSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardSweep, EveryTileThreadConfigMatchesSerialReference) {
   const db::Design design = benchgen::generate(test::sized_case(96, 110, GetParam()));
   global::GlobalRouter gr(design);
   const global::GuideSet guides = gr.route_all();
-  auto run_with = [&](int tiles, int threads) {
+  auto run_with = [&](int tiles, int threads, core::RouterStats* stats) {
     grid::RoutingGrid grid(design);
     core::RouterConfig cfg;
     cfg.shard_tiles = tiles;
     cfg.rrr_threads = threads;
     core::MrTplRouter router(design, &guides, cfg);
     const grid::Solution sol = router.run(grid);
+    *stats = router.stats();
     return io::solution_to_string(grid, sol);
   };
-  const std::string reference = run_with(1, 1);
-  for (const int tiles : {4, 16}) {
-    for (const int threads : {2, 8}) {
-      EXPECT_EQ(run_with(tiles, threads), reference)
+  core::RouterStats ref_stats;
+  const std::string reference = run_with(1, 1, &ref_stats);
+  ASSERT_GT(ref_stats.relaxations, 0u);
+  for (const int tiles : {1, 4, 16}) {
+    for (const int threads : {1, 2, 8}) {
+      core::RouterStats stats;
+      EXPECT_EQ(run_with(tiles, threads, &stats), reference)
           << "tiles " << tiles << " threads " << threads << " seed "
           << GetParam();
+      EXPECT_EQ(std::accumulate(stats.relaxations_per_pass.begin(),
+                                stats.relaxations_per_pass.end(), std::uint64_t{0}),
+                stats.relaxations)
+          << "tiles " << tiles << " threads " << threads;
+      EXPECT_EQ(stats.relaxations, ref_stats.relaxations)
+          << "tiles " << tiles << " threads " << threads;
     }
   }
   // The facade drives the same executor.

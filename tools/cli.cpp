@@ -15,17 +15,14 @@
 ///       Generate a synthetic case and save it.
 ///   route --design <file> [--router mrtpl|dac12|decompose]
 ///       [--solution out.sol] [--svg out.svg] [--no-guides] [--rrr N]
-///       [--threads N] [--tiles K] [--rescan-conflicts] [--deadline S]
-///       [--max-relax N]
+///       [--threads N] [--tiles K] [--deadline S] [--max-relax N]
 ///       Route a saved design, print metrics, optionally dump artifacts.
-///       --threads N routes RRR batches of disjoint-window nets on N
-///       workers (output is byte-identical to --threads 1); --tiles K
-///       shards the die into ~sqrt(K)² tiles routed via per-tile grid
-///       views (core::ShardedRouter; output is byte-identical for every
-///       tiles/threads combination, and only engages with --threads >= 2);
-///       --rescan-conflicts swaps the incremental conflict engine for the
-///       full-rescan debug oracle. --deadline / --max-relax bound the run
-///       (route_budget.hpp); a degraded result exits 4.
+///       --tiles K shards the die into ~sqrt(K)² tiles routed via per-tile
+///       grid views (core::ShardedRouter) and --threads N computes them on
+///       N workers; threads parallelize only together with --tiles K > 1,
+///       and without tiles the run is serial. Output is byte-identical for
+///       every tiles/threads combination. --deadline / --max-relax bound
+///       the run (route_budget.hpp); a degraded result exits 4.
 ///
 /// Exit codes (pinned by test_cli_smoke): 0 success, 1 flow failure
 /// (conflicts, DRC violations, unexpected errors), 2 usage, 3 malformed
@@ -339,7 +336,6 @@ int cmd_route(const Args& args) {
     }
     config.shard_tiles = *n;
   }
-  if (args.has("rescan-conflicts")) config.incremental_conflicts = false;
 
   core::RouteBudget route_budget;
   if (const auto deadline = args.get("deadline")) {
@@ -605,9 +601,7 @@ int open_session_backend(const Args& args, const char* cmd,
     session::RouterSession& s = *store ? (*store)->session() : **bare;
     std::printf("%s: %d nets routed, %d conflict(s) initially\n", cmd,
                 s.design().num_nets(),
-                s.conflict_index() != nullptr
-                    ? static_cast<int>(s.conflict_index()->conflicts().size())
-                    : static_cast<int>(core::detect_conflicts(s.grid()).size()));
+                static_cast<int>(s.conflict_index().conflicts().size()));
   }
   return 0;
 }
@@ -883,7 +877,7 @@ int run(const std::vector<std::string>& argv) {
                "  generate --case <name> [--out file]\n"
                "  route    --design <file> [--router mrtpl|dac12|decompose]\n"
                "           [--solution file] [--svg file] [--no-guides] [--rrr N]\n"
-               "           [--threads N] [--tiles K] [--rescan-conflicts]\n"
+               "           [--threads N] [--tiles K]  (threads need tiles > 1)\n"
                "           [--deadline S] [--max-relax N]  (degraded result: exit 4)\n"
                "  eval     --design <file> --solution <file>\n"
                "  verify   --design <file> --solution <file> [--no-color-check]\n"
