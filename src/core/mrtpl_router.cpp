@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 
 #include "core/conflict_index.hpp"
+#include "geom/spatial_grid.hpp"
+#include "shard/tile_plan.hpp"
 #include "util/fault_injector.hpp"
 #include "util/logger.hpp"
 #include "util/strings.hpp"
@@ -266,7 +269,7 @@ grid::NetRoute MrTplRouter::route_net(grid::RoutingGrid& grid, ColorSearch& sear
                                       db::NetId net_id) {
   RouteOutcome outcome = compute_route(grid, search, net_id);
   apply_outcome(grid, outcome);
-  set_last_colors(outcome);
+  set_last_colors(std::move(outcome.colors));
   return std::move(outcome.route);
 }
 
@@ -275,8 +278,9 @@ void MrTplRouter::apply_outcome(grid::RoutingGrid& grid, const RouteOutcome& out
   stats_.relaxations += outcome.relaxations;
 }
 
-void MrTplRouter::set_last_colors(const RouteOutcome& outcome) {
-  last_colors_ = outcome.colors;
+void MrTplRouter::set_last_colors(
+    std::vector<std::pair<grid::VertexId, grid::Mask>> colors) {
+  last_colors_ = std::move(colors);
   if (config_.enable_coloring)
     std::sort(last_colors_.begin(), last_colors_.end());
 }
@@ -423,33 +427,104 @@ struct MrTplRouter::LayoutSnapshot {
   }
 };
 
+namespace {
+
+/// Bounding box of a set of commits; !valid() when there are none.
+geom::Rect commit_bbox(const grid::RoutingGrid& grid,
+                       const std::vector<std::pair<grid::VertexId, grid::Mask>>& colors) {
+  geom::Rect box{std::numeric_limits<int>::max(), std::numeric_limits<int>::max(),
+                 std::numeric_limits<int>::min(), std::numeric_limits<int>::min()};
+  for (const auto& [v, m] : colors) {
+    const grid::VertexLoc l = grid.loc(v);
+    box = box.united({l.x, l.y, l.x, l.y});
+  }
+  return box;
+}
+
+}  // namespace
+
+/// The commit walk. In a tiled pass an interior outcome is stale only if a
+/// commit its tile view COULD NOT have seen landed inside its read
+/// footprint. Those commits — the hazards — are boundary nets (routed here,
+/// after the views were cut) and redos that diverged from their
+/// speculation, whose speculative metal later same-tile views did see.
+/// Interior commits of other tiles cannot overlap its reads (reads ⊆
+/// window ⊕ halo ⊆ own tile by the ownership rule), and same-tile
+/// predecessors applied as-speculated are exactly what its view held.
+/// Hazard boxes live in a geom::SpatialGrid, so validation costs
+/// O(window) per net rather than an O(n) commit-log scan.
 void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
                              Workers* workers, const std::vector<db::NetId>& nets,
                              grid::Solution& solution) {
-  if (workers != nullptr && nets.size() > 1) {
-    route_list_sharded(grid, search, *workers, nets, solution);
-    return;
-  }
+  if (nets.empty()) return;
   util::Timer timer;
   const std::uint64_t pass_relax_base = stats_.relaxations;
-  for (const db::NetId id : nets) {
+  // A pass whose budget already expired skips every net; it needs no tiles.
+  const bool tiled = workers != nullptr && nets.size() > 1 &&
+                     !(budget_.active() && budget_.expired(stats_.relaxations));
+  std::vector<int> tile_of;
+  std::vector<RouteOutcome> tile_outcomes;
+  std::optional<geom::SpatialGrid> hazard_idx;
+  if (tiled) {
+    tile_outcomes = route_tiles(grid, *workers, nets, tile_of);
+    hazard_idx.emplace(design_.die(), 32);
+  }
+  std::vector<std::pair<grid::VertexId, grid::Mask>> last_colors;
+  bool applied = false;
+  for (size_t k = 0; k < nets.size(); ++k) {
     // Budget skip: once the budget expires mid-pass, the remaining nets are
     // marked kSkipped without committing anything. The decision reads the
     // *applied* ledger, so for relaxation budgets it falls on the same net
-    // for every (tiles, threads) configuration.
+    // for every (tiles, threads) configuration. expired() is monotone, so
+    // no later net validates against a skipped one.
     if (budget_.active() && budget_.expired(stats_.relaxations)) {
-      mark_skipped(solution, id);
+      if (tiled) stats_.wasted_relaxations += tile_outcomes[k].relaxations;
+      mark_skipped(solution, nets[k]);
       continue;
     }
-    RouteOutcome outcome = compute_route_guarded(grid, search, id);
+    RouteOutcome outcome;
+    const bool interior = tiled && tile_of[k] != shard::TilePlan::kBoundary;
+    bool hazard = tiled && !interior;  // boundary commits reach no tile view
+    if (interior) {
+      ++stats_.speculated;
+      outcome = std::move(tile_outcomes[k]);
+      bool stale =
+          (outcome.has_read_near && hazard_idx->any_overlap(outcome.read_near)) ||
+          (outcome.has_read_tpl && hazard_idx->any_overlap(outcome.read_tpl));
+      // Fault site kSpecInvalidate: force the serial redo path; the redo
+      // recomputes against the exact serial-prefix state, so output is
+      // unchanged.
+      if (util::FaultInjector::enabled() &&
+          util::FaultInjector::instance().should_fail(
+              util::FaultSite::kSpecInvalidate))
+        stale = true;
+      if (stale) {
+        ++stats_.respeculated;
+        stats_.wasted_relaxations += outcome.relaxations;
+        RouteOutcome redo = compute_route_guarded(grid, search, nets[k]);
+        if (redo.colors != outcome.colors) {
+          // The speculative metal is what later same-tile views saw; its
+          // bbox becomes a hazard alongside the actual commit below.
+          hazard = true;
+          if (const geom::Rect box = commit_bbox(grid, outcome.colors); box.valid())
+            hazard_idx->insert(static_cast<std::uint32_t>(k), box);
+        }
+        outcome = std::move(redo);
+      }
+    } else {
+      outcome = compute_route_guarded(grid, search, nets[k]);
+    }
     apply_outcome(grid, outcome);
-    set_last_colors(outcome);
-    solution.routes[static_cast<size_t>(id)] = std::move(outcome.route);
+    if (hazard)
+      if (const geom::Rect box = commit_bbox(grid, outcome.colors); box.valid())
+        hazard_idx->insert(static_cast<std::uint32_t>(k), box);
+    last_colors = std::move(outcome.colors);
+    applied = true;
+    solution.routes[static_cast<size_t>(nets[k])] = std::move(outcome.route);
   }
-  if (!nets.empty()) {
-    stats_.route_batches += 1;
-    stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
-  }
+  if (applied) set_last_colors(std::move(last_colors));
+  stats_.route_batches += 1;
+  stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
   stats_.reroute_s += timer.elapsed_s();
 }
 
@@ -477,19 +552,15 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
   // so its log sees every change since the empty grid.
   ConflictIndex index(grid);
 
-  // Tiled executor state: one pool, and one SearchArena and ColorSearch
-  // per worker, for the whole run — after the first few nets warm the
-  // arenas, the parallel hot path allocates nothing. Threads only pay
-  // with tiles, so without shard_tiles > 1 every pass runs serially.
+  // Tiled executor state: one pool, and one SearchArena per worker, for
+  // the whole run — after the first few tiles warm the arenas, the
+  // parallel hot path allocates nothing. Threads only pay with tiles, so
+  // without shard_tiles > 1 every pass runs serially.
   Workers workers;
   if (config_.rrr_threads > 1 && config_.shard_tiles > 1) {
     workers.pool = std::make_unique<util::ThreadPool>(config_.rrr_threads);
-    for (int i = 0; i < workers.pool->size(); ++i) {
+    for (int i = 0; i < workers.pool->size(); ++i)
       workers.arenas.push_back(std::make_unique<SearchArena>());
-      workers.searches.push_back(
-          std::make_unique<ColorSearch>(grid, config_, *workers.arenas.back()));
-      if (budget_.active()) workers.searches.back()->set_budget(&budget_);
-    }
   }
 
   grid::Solution solution;

@@ -39,9 +39,12 @@ struct RouterStats {
   /// both (speculative work that fails validation is *not* applied; it
   /// lands in wasted_relaxations instead).
   std::vector<std::uint64_t> relaxations_per_pass;
-  int speculated = 0;                 ///< speculative outcomes reaching commit
-  int respeculated = 0;               ///< speculations redone serially
-  std::uint64_t wasted_relaxations = 0;  ///< search effort of those discards
+  /// Tile speculation. Only interior nets speculate (in their tile's
+  /// GridView); boundary nets are routed in the commit walk itself, so
+  /// they never count here.
+  int speculated = 0;                 ///< interior outcomes reaching commit
+  int respeculated = 0;               ///< interior outcomes redone serially
+  std::uint64_t wasted_relaxations = 0;  ///< search effort of discarded ones
 
   /// A RouteBudget bound tripped and stopped the run early; the returned
   /// solution carries SolutionStatus::kDegraded.
@@ -117,8 +120,9 @@ class MrTplRouter {
   grid::NetRoute route_net(grid::RoutingGrid& grid, ColorSearch& search,
                            db::NetId net_id);
 
-  /// Per-vertex committed masks of the last `route_net` call, for
-  /// callers that need the color of each path vertex.
+  /// Per-vertex committed masks of the last net routed into the grid (by
+  /// `route_net` or a routing pass), for callers that need the color of
+  /// each path vertex.
   [[nodiscard]] const std::vector<std::pair<grid::VertexId, grid::Mask>>&
   last_colors() const {
     return last_colors_;
@@ -205,42 +209,41 @@ class MrTplRouter {
   /// Commit an outcome's colors and fold its counters into stats_.
   void apply_outcome(grid::RoutingGrid& grid, const RouteOutcome& outcome);
 
-  /// Refresh the last_colors() accessor from an outcome. Kept separate
-  /// from apply_outcome so the tiled executor can pin last_colors() to
-  /// the final applied net of the list — the accessor must not depend on
-  /// the configuration either.
-  void set_last_colors(const RouteOutcome& outcome);
+  /// Set the last_colors() accessor (sorted when coloring is enabled).
+  void set_last_colors(std::vector<std::pair<grid::VertexId, grid::Mask>> colors);
 
   /// Reset a solution entry to the kSkipped marker of a budget stop.
   static void mark_skipped(grid::Solution& solution, db::NetId id);
 
-  /// The tiled executor's worker state: one pool, and one SearchArena and
-  /// ColorSearch per worker, built once per run(). Arenas are declared
-  /// before the searches that borrow them so they outlive them.
+  /// The tiled executor's worker state, built once per run(): one pool,
+  /// and one SearchArena per worker for the tile views it routes.
   struct Workers {
     std::unique_ptr<util::ThreadPool> pool;
     std::vector<std::unique_ptr<SearchArena>> arenas;
-    std::vector<std::unique_ptr<ColorSearch>> searches;
   };
 
-  /// Route `nets` in order, storing results in `solution`: serially when
-  /// `workers` is null, else on the tile-sharded executor
-  /// (route_list_sharded, defined in sharded_router.cpp).
+  /// One routing pass: the commit walk, the only per-net loop. Routes
+  /// `nets` in order into `grid`, storing results in `solution`; each net
+  /// sees exactly the commits of the nets before it. With `workers` the
+  /// pass first speculates the tiles' interior nets in parallel
+  /// (route_tiles); the walk then applies each interior outcome that no
+  /// invisible commit could have changed and recomputes the rest on the
+  /// spot. Boundary nets — every net, without workers — are routed in the
+  /// walk itself against the exact serial-prefix grid. Byte-identical for
+  /// every (tiles, threads) configuration.
   void route_list(grid::RoutingGrid& grid, ColorSearch& search, Workers* workers,
                   const std::vector<db::NetId>& nets, grid::Solution& solution);
 
-  /// The tile-sharded speculative executor (sharded_router.cpp): interior
-  /// nets of each tile compute sequentially against a per-tile GridView —
-  /// intra-tile dependencies are exact, not speculative — boundary-pool
-  /// nets compute flat against the pass snapshot, and one serial commit
-  /// walk in ripped order validates every outcome against the hazards it
-  /// could not have seen. Byte-identical to the serial loop for every
-  /// (tiles, threads) configuration, by the same argument as route_list:
-  /// an outcome is applied only when its read footprint provably matches
-  /// the serial-prefix state, else it is recomputed right there.
-  void route_list_sharded(grid::RoutingGrid& grid, ColorSearch& search,
-                          Workers& workers, const std::vector<db::NetId>& nets,
-                          grid::Solution& solution);
+  /// Phase A of a tiled pass (sharded_router.cpp), main grid frozen.
+  /// Classifies every net of `nets` by tile ownership into `tile_of`
+  /// (TilePlan::kBoundary for boundary nets) and returns, slot-indexed,
+  /// the outcome of every interior net: each non-empty tile routes its
+  /// nets sequentially in ripped order against its own GridView, so
+  /// intra-tile dependencies are exact, not speculative. Boundary slots
+  /// stay empty.
+  [[nodiscard]] std::vector<RouteOutcome> route_tiles(
+      const grid::RoutingGrid& grid, Workers& workers,
+      const std::vector<db::NetId>& nets, std::vector<int>& tile_of);
 
   struct LayoutSnapshot;  // best-iterate keeper, mrtpl_router.cpp
 

@@ -22,23 +22,23 @@ struct RouterConfig {
   bool rrr_on_color_conflicts = true;
 
   /// Worker threads of the tile-sharded executor. Threads parallelize
-  /// only together with shard_tiles > 1: each pass then computes tiles
-  /// and boundary nets concurrently against the pass-start grid and
-  /// commits on the main thread strictly in ripped order, redoing any
-  /// speculation an earlier commit invalidated. Without tiles every pass
-  /// runs serially and no pool is built. Applied results are the serial
-  /// loop's by construction, so output is byte-identical for every thread
-  /// count.
+  /// only together with shard_tiles > 1: each pass then routes every
+  /// tile's interior nets concurrently in per-tile views of the pass-start
+  /// grid, and the main thread's commit walk — in strict ripped order —
+  /// routes the boundary nets itself and redoes any interior outcome an
+  /// earlier commit invalidated. Without tiles every pass runs serially
+  /// and no pool is built. Applied results are the serial loop's by
+  /// construction, so output is byte-identical for every thread count.
   int rrr_threads = 1;
 
-  /// Die tiling of the sharded speculative executor (core::ShardedRouter /
-  /// route_list_sharded). The die is partitioned into ~sqrt(shard_tiles)²
-  /// tiles; a net whose halo-inflated search window fits inside one tile
-  /// is *interior* to it and computes sequentially against that tile's
-  /// GridView (intra-tile dependencies exact, O(tile) memory), nets
-  /// crossing tile boundaries join the boundary pool and speculate
-  /// against the shared grid. Output is byte-identical for every
-  /// (shard_tiles, rrr_threads) configuration — validation at commit
+  /// Die tiling of the sharded executor (core::ShardedRouter /
+  /// MrTplRouter::route_tiles). The die is partitioned into
+  /// ~sqrt(shard_tiles)² tiles; a net whose halo-inflated search window
+  /// fits inside one tile is *interior* to it and computes sequentially
+  /// against that tile's GridView (intra-tile dependencies exact, O(tile)
+  /// memory); nets crossing tile boundaries are routed in the commit walk
+  /// against the exact serial-prefix grid. Output is byte-identical for
+  /// every (shard_tiles, rrr_threads) configuration — validation at commit
   /// decides what is KEPT, never what the result is. Takes effect only
   /// with rrr_threads >= 2; 1 routes serially.
   int shard_tiles = 1;

@@ -1,31 +1,30 @@
 #pragma once
 /// \file sharded_router.hpp
 /// core::ShardedRouter — the production-scale front door of the tile-
-/// sharded speculative executor.
+/// sharded executor.
 ///
-/// Execution model (route_list_sharded, defined in sharded_router.cpp):
+/// Execution model of one tiled pass (route_list in mrtpl_router.cpp, with
+/// phase A in route_tiles, sharded_router.cpp):
 ///
 ///  1. CLASSIFY. The die is partitioned into a K×K shard::TilePlan. A net
 ///     whose halo-inflated search window fits one tile is *interior* to
-///     it; everything else joins the boundary pool. The plan depends only
-///     on (die, shard_tiles) — never on thread count.
-///  2. COMPUTE (parallel). One task per non-empty tile + one per boundary
-///     net, on util::ThreadPool. A tile task builds a grid::GridView of
-///     its rect (O(tile) memory, copy of the pass-start state) and routes
-///     its interior nets SEQUENTIALLY in ripped order, committing each
-///     result into the view — intra-tile dependencies are exact, not
-///     speculative, which is what makes speculation stick on dense dies.
-///     Boundary nets speculate directly against the shared pass-start
-///     grid. Nothing commits to the real grid.
-///  3. RECONCILE (serial). One commit walk in global ripped order. An
-///     interior outcome is stale only if a *hazard* — an applied boundary
-///     commit, or an earlier redo that diverged from its speculation —
-///     landed inside its read footprint (interior nets of other tiles
-///     provably cannot overlap it). A boundary outcome is stale if ANY
-///     earlier applied commit did. Stale nets recompute serially on the
-///     spot, against the exact serial-prefix grid. Hazard/commit boxes
-///     live in geom::SpatialGrid indices, so the walk is O(n · window)
-///     rather than an O(n²) commit-log scan.
+///     it; every other net is a *boundary* net. The plan depends only on
+///     (die, shard_tiles) — never on thread count.
+///  2. COMPUTE (parallel). One task per tile holding interior nets, on
+///     util::ThreadPool. A tile task builds a grid::GridView of its rect
+///     (O(tile) memory, copy of the pass-start state) and routes its
+///     interior nets SEQUENTIALLY in ripped order, committing each result
+///     into the view — intra-tile dependencies are exact, not speculative.
+///     Nothing commits to the real grid. Tiles are the only speculation.
+///  3. COMMIT WALK (serial). One walk in global ripped order — the same
+///     per-net loop a serial pass runs. Boundary nets are routed in the
+///     commit walk, against the exact serial-prefix grid, so they need no
+///     validation. An interior outcome is stale only if a *hazard* — a
+///     boundary commit, or an earlier redo that diverged from its
+///     speculation — landed inside its read footprint (interior nets of
+///     other tiles provably cannot overlap it); stale nets recompute on
+///     the spot. Hazard boxes live in a geom::SpatialGrid index, so the
+///     walk is O(n · window) rather than an O(n²) commit-log scan.
 ///
 /// Every applied outcome therefore equals the serial loop's, so the final
 /// solution is byte-identical for any (tiles, threads) configuration —

@@ -8,8 +8,8 @@
 /// the net's search can read or write then lives in the tile, so the net
 /// can compute against an O(tile) GridView with whole-die fidelity. Nets
 /// whose inflated windows cross tile boundaries — or exceed any single
-/// tile — fall into the boundary pool (kBoundary) and are handled by flat
-/// speculation against the pass snapshot.
+/// tile — are boundary nets (kBoundary), routed in the commit walk
+/// against the exact serial-prefix grid.
 ///
 /// The plan depends only on (die, tiles): identical for every thread
 /// count, which is one leg of the sharded determinism contract.

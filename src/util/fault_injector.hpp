@@ -11,10 +11,12 @@
 ///                    label-array growth ran out of memory. The router
 ///                    marks the net failed and retries it on a later RRR
 ///                    iteration.
-///   spec_invalidate  The tiled RRR executor treats a speculation
-///                    as stale and recomputes it serially. Output is
-///                    unchanged by construction (the redo IS the serial
-///                    result); the site exercises the redo path.
+///   spec_invalidate  The tiled executor's commit walk treats a tile-
+///                    interior net's speculated outcome as stale and
+///                    recomputes it serially (boundary nets are routed in
+///                    the walk and never speculate). Output is unchanged
+///                    by construction (the redo IS the serial result); the
+///                    site exercises the redo path.
 ///   search_fail      compute_route reports the net unroutable without
 ///                    searching, once per keyed net. RRR rips and
 ///                    retries it, exercising the failed-net recovery.

@@ -17,6 +17,7 @@
 #include "io/design_io.hpp"
 #include "io/parse_error.hpp"
 #include "io/solution_io.hpp"
+#include "support/builders.hpp"
 #include "util/fault_injector.hpp"
 
 namespace mrtpl {
@@ -174,14 +175,16 @@ TEST_F(FaultInjectorTest, ArenaGrowFailureIsContained) {
 }
 
 TEST_F(FaultInjectorTest, ForcedSpeculationInvalidationKeepsOutputIdentical) {
-  const db::Design design = benchgen::generate(small_spec(23));
+  // Only tile-interior nets speculate; tiny_case has none at 4 tiles, so
+  // this die is large enough for a 2x2 plan to classify interior nets.
+  const db::Design design = benchgen::generate(test::sized_case(96, 110, 23));
 
   grid::RoutingGrid grid_ref(design);
   const grid::Solution ref = route(design, 1, 1, 3, grid_ref);
   const std::string ref_text = io::solution_to_string(grid_ref, ref);
 
-  // Force EVERY speculation stale: the tiled executor redoes each net
-  // serially, which must reproduce the serial result byte for byte.
+  // Force EVERY speculation stale: the commit walk redoes each interior
+  // net serially, which must reproduce the serial result byte for byte.
   auto& inj = FaultInjector::instance();
   ASSERT_TRUE(inj.configure("spec_invalidate:1"));
   grid::RoutingGrid grid(design);

@@ -1,5 +1,5 @@
 /// \file test_sharded.cpp
-/// The tile-sharded executor (core::ShardedRouter / route_list_sharded):
+/// The tile-sharded executor (core::ShardedRouter / route_tiles):
 /// TilePlan partition/ownership invariants, and the headline contract —
 /// the sharded solution is byte-identical to the unsharded serial run for
 /// every (tiles, threads) configuration.
@@ -12,6 +12,7 @@
 #include "core/sharded_router.hpp"
 #include "global/global_router.hpp"
 #include "io/solution_io.hpp"
+#include "scenario/scenario.hpp"
 #include "shard/tile_plan.hpp"
 #include "support/builders.hpp"
 
@@ -89,34 +90,38 @@ TEST(ShardedRouter, NormalizesConfig) {
   EXPECT_EQ(b.plan().grid_dim(), 3);
 }
 
+/// Route `design` at (tiles, threads); returns the serialized solution.
+std::string route_text(const db::Design& design, const global::GuideSet& guides,
+                       int tiles, int threads, core::RouterStats* stats) {
+  grid::RoutingGrid grid(design);
+  core::RouterConfig cfg;
+  cfg.shard_tiles = tiles;
+  cfg.rrr_threads = threads;
+  core::MrTplRouter router(design, &guides, cfg);
+  const grid::Solution sol = router.run(grid);
+  *stats = router.stats();
+  return io::solution_to_string(grid, sol);
+}
+
 /// The headline byte-identity contract, on a die large enough that the
-/// 4x4 plan actually classifies interior nets (margin 6 + halo windows
-/// need room inside a tile). The applied-relaxations ledger is pinned
-/// alongside: per-pass entries sum to the total, and the total is the
-/// same for every configuration (discarded speculation never counts).
+/// 2x2 plan actually classifies interior nets (margin 6 + halo windows
+/// need room inside a tile; the 4x4 plan leaves every net boundary). The
+/// applied-relaxations ledger is pinned alongside: per-pass entries sum
+/// to the total, and the total is the same for every configuration
+/// (discarded speculation never counts).
 class ShardSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardSweep, EveryTileThreadConfigMatchesSerialReference) {
   const db::Design design = benchgen::generate(test::sized_case(96, 110, GetParam()));
   global::GlobalRouter gr(design);
   const global::GuideSet guides = gr.route_all();
-  auto run_with = [&](int tiles, int threads, core::RouterStats* stats) {
-    grid::RoutingGrid grid(design);
-    core::RouterConfig cfg;
-    cfg.shard_tiles = tiles;
-    cfg.rrr_threads = threads;
-    core::MrTplRouter router(design, &guides, cfg);
-    const grid::Solution sol = router.run(grid);
-    *stats = router.stats();
-    return io::solution_to_string(grid, sol);
-  };
   core::RouterStats ref_stats;
-  const std::string reference = run_with(1, 1, &ref_stats);
+  const std::string reference = route_text(design, guides, 1, 1, &ref_stats);
   ASSERT_GT(ref_stats.relaxations, 0u);
   for (const int tiles : {1, 4, 16}) {
     for (const int threads : {1, 2, 8}) {
       core::RouterStats stats;
-      EXPECT_EQ(run_with(tiles, threads, &stats), reference)
+      EXPECT_EQ(route_text(design, guides, tiles, threads, &stats), reference)
           << "tiles " << tiles << " threads " << threads << " seed "
           << GetParam();
       EXPECT_EQ(std::accumulate(stats.relaxations_per_pass.begin(),
@@ -127,10 +132,10 @@ TEST_P(ShardSweep, EveryTileThreadConfigMatchesSerialReference) {
           << "tiles " << tiles << " threads " << threads;
     }
   }
-  // The facade drives the same executor.
+  // The facade drives the same executor, at the plan with interior nets.
   grid::RoutingGrid grid(design);
   core::RouterConfig cfg;
-  cfg.shard_tiles = 16;
+  cfg.shard_tiles = 4;
   core::ShardedRouter router(design, &guides, cfg);
   const grid::Solution sol = router.run(grid);
   EXPECT_EQ(io::solution_to_string(grid, sol), reference);
@@ -139,6 +144,26 @@ TEST_P(ShardSweep, EveryTileThreadConfigMatchesSerialReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardSweep, ::testing::Values(11, 21));
+
+/// Tiles are the only speculation: boundary nets are routed in the commit
+/// walk against the exact serial-prefix grid. On a plan where no net fits
+/// a tile (the quick production die at 4x4), a tiled run therefore
+/// speculates nothing and wastes no search, yet still matches serial.
+TEST(ShardedRouter, AllBoundaryPlanSpeculatesNothing) {
+  const scenario::ScenarioSpec* sc =
+      scenario::ScenarioRegistry::builtin().find("production_grid_10k");
+  ASSERT_NE(sc, nullptr);
+  const db::Design design = benchgen::generate(sc->spec(/*quick_mode=*/true));
+  global::GlobalRouter gr(design);
+  const global::GuideSet guides = gr.route_all();
+  core::RouterStats serial_stats, tiled_stats;
+  const std::string serial = route_text(design, guides, 1, 1, &serial_stats);
+  EXPECT_EQ(route_text(design, guides, 16, 4, &tiled_stats), serial);
+  EXPECT_EQ(tiled_stats.speculated, 0);
+  EXPECT_EQ(tiled_stats.respeculated, 0);
+  EXPECT_EQ(tiled_stats.wasted_relaxations, 0u);
+  EXPECT_EQ(tiled_stats.relaxations, serial_stats.relaxations);
+}
 
 }  // namespace
 }  // namespace mrtpl

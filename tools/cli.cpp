@@ -146,6 +146,18 @@ std::optional<int> parse_int(const std::string& word) {
   }
 }
 
+/// Positive-double flag parser (deadline/watermark seconds).
+std::optional<double> parse_seconds(const std::string& word) {
+  try {
+    size_t used = 0;
+    const double value = std::stod(word, &used);
+    if (used != word.size() || value <= 0.0) return std::nullopt;
+    return value;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 std::optional<benchgen::CaseSpec> find_case(const std::string& name) {
   for (const auto& s : benchgen::ispd2018_suite())
     if (s.name == name) return s;
@@ -339,15 +351,12 @@ int cmd_route(const Args& args) {
 
   core::RouteBudget route_budget;
   if (const auto deadline = args.get("deadline")) {
-    try {
-      size_t used = 0;
-      route_budget.deadline_s = std::stod(*deadline, &used);
-      if (used != deadline->size() || route_budget.deadline_s <= 0.0)
-        throw std::invalid_argument(*deadline);
-    } catch (const std::exception&) {
+    const auto s = parse_seconds(*deadline);
+    if (!s) {
       std::fprintf(stderr, "route: --deadline wants a positive number (seconds)\n");
       return 2;
     }
+    route_budget.deadline_s = *s;
   }
   if (const auto max_relax = args.get("max-relax")) {
     const auto n = parse_int(*max_relax);
@@ -493,18 +502,6 @@ int cmd_report(const Args& args) {
   return 0;
 }
 
-/// Positive-double flag parser (deadline/watermark seconds).
-std::optional<double> parse_seconds(const std::string& word) {
-  try {
-    size_t used = 0;
-    const double value = std::stod(word, &used);
-    if (used != word.size() || value <= 0.0) return std::nullopt;
-    return value;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 /// Parse the SessionConfig flags shared by `session` and `serve` into
 /// `config`; returns 0 or the usage exit code (2) after a message.
 int parse_session_config(const Args& args, const char* cmd,
@@ -606,6 +603,21 @@ int open_session_backend(const Args& args, const char* cmd,
   return 0;
 }
 
+/// Exit code of one edit outcome: 0 applied, 1 rejected, 4 degraded,
+/// shed or past its deadline.
+int exit_code_of(session::EditStatus status) {
+  if (status == session::EditStatus::kRejected) return 1;
+  return status == session::EditStatus::kApplied ? 0 : 4;
+}
+
+/// Fold one outcome's exit code into the worst so far (`session --script`
+/// and `send`): "rejected" (1) outranks "degraded/shed/deadline" (4),
+/// matching 1 = flow failure elsewhere.
+void fold_exit(int& worst, int code) {
+  if (code == 1 || worst == 1) worst = 1;
+  else if (code > worst) worst = code;
+}
+
 int cmd_session(const Args& args) {
   session::SessionConfig config;
   if (const int rc = parse_session_config(args, "session", &config); rc != 0)
@@ -618,16 +630,7 @@ int cmd_session(const Args& args) {
     return rc;
   session::RouterSession& sess = store ? store->session() : *bare;
 
-  // Worst outcome wins the exit code; "rejected" (1) outranks
-  // "degraded/shed/deadline" (4), matching 1 = flow failure elsewhere.
   int worst = 0;
-  const auto fold = [&worst](session::EditStatus status) {
-    int code = 0;
-    if (status == session::EditStatus::kRejected) code = 1;
-    else if (status != session::EditStatus::kApplied) code = 4;
-    if (code == 1 || worst == 1) worst = 1;
-    else if (code > worst) worst = code;
-  };
 
   if (const auto script = args.get("script")) {
     const std::vector<session::Edit> edits = session::load_edit_script(*script);
@@ -644,7 +647,7 @@ int cmd_session(const Args& args) {
       for (const auto& d : resp.dispositions)
         std::printf("  net %d (%s): %s\n", d.net, d.name.c_str(),
                     d.state.c_str());
-      fold(resp.status);
+      fold_exit(worst, exit_code_of(resp.status));
     }
   }
 
@@ -781,15 +784,7 @@ int cmd_send(const Args& args) {
   std::printf("hello: daemon at seq=%llu\n",
               static_cast<unsigned long long>(hello.seq));
 
-  // Same worst-outcome exit-code fold as `session --script`.
   int worst = 0;
-  const auto fold = [&worst](session::EditStatus status) {
-    int code = 0;
-    if (status == session::EditStatus::kRejected) code = 1;
-    else if (status != session::EditStatus::kApplied) code = 4;
-    if (code == 1 || worst == 1) worst = 1;
-    else if (code > worst) worst = code;
-  };
 
   // --script takes the same mrtpl-edits file `session --script` does;
   // each edit crosses the wire re-serialized through format_edit (the
@@ -805,11 +800,7 @@ int cmd_send(const Args& args) {
     const server::Response r = client.submit(lines[i]);
     if (!r.ok) {
       std::printf("edit %zu: %s (%s)\n", i + 1, r.code.c_str(), r.text.c_str());
-      if (r.code == "shed") {
-        if (worst != 1 && worst < 4) worst = 4;
-      } else {
-        worst = 1;
-      }
+      fold_exit(worst, r.code == "shed" ? 4 : 1);
       continue;
     }
     std::printf("edit %zu: %s seq=%llu dirty=%d conflicts=%d failed=%d%s%s\n",
@@ -819,7 +810,7 @@ int cmd_send(const Args& args) {
                 r.edit.note.empty() ? "" : "  # ", r.edit.note.c_str());
     for (const auto& d : r.edit.dispositions)
       std::printf("  net %d (%s): %s\n", d.net, d.name.c_str(), d.state.c_str());
-    fold(r.edit.status);
+    fold_exit(worst, exit_code_of(r.edit.status));
   }
 
   if (const auto token = args.get("ping")) {
