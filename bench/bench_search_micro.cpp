@@ -8,24 +8,21 @@
 ///    single-net instances — the mechanical source of Table II's runtime
 ///    column (label-space size). All google-benchmark flags pass through.
 ///
-///  * `--compare [--thresholds FILE]`: old-vs-new hot path on the die-112
-///    scaling recipe. "Old" runs the legacy engines (binary heap queue +
-///    per-relaxation Dcolor window scans), "new" the defaults (bucket
-///    queue + precomputed congestion field). Both orders are pinned to
-///    the same (quantized key, push sequence) contract, so the run ABORTS
-///    unless the two serialized solutions are byte-identical; it then
-///    reports the reroute-phase speedup and, when a thresholds file is
-///    given, FAILS (exit 1) if the speedup or the relaxation count
+///  * `--compare [--thresholds FILE]`: the production hot path on the
+///    die-112 scaling recipe. Routes it twice, aborts unless the two
+///    serialized solutions are byte-identical, and reports the faster
+///    round's reroute time, relaxation count and ns per relaxation. When
+///    a thresholds file is given it FAILS (exit 1) if either number
 ///    regresses past the recorded bounds. CI's perf-smoke job runs this
 ///    against bench/perf_thresholds.json.
 ///
 ///    Thresholds file (flat JSON, hand-parsed):
-///      {"min_speedup": <min old/new reroute-time ratio>,
-///       "max_relaxations": <ceiling on the new engine's relaxations>}
-///    min_speedup gates wall time as a same-process RATIO (machine-speed
-///    independent); max_relaxations is an exact deterministic count
-///    recorded at 1.1x the measured value, so any >10% search-effort
-///    regression fails even when the timing ratio is too noisy to.
+///      {"max_ns_per_relaxation": <ceiling on reroute_s / relaxations>,
+///       "max_relaxations": <ceiling on the relaxation count>}
+///    max_ns_per_relaxation gates the cost of one relaxation in wall
+///    time; max_relaxations is an exact deterministic count recorded at
+///    1.1x the measured value, so any >10% search-effort regression fails
+///    even when timings are too noisy to.
 
 #include <algorithm>
 #include <cmath>
@@ -114,47 +111,36 @@ int run_compare(const char* thresholds_path) {
   spec.num_nets = 112 * 112 / 38;
   spec.num_macros = 112 / 24;
   spec.seed = 9000u + 112u;
-  std::fprintf(stderr, "[search_micro] --compare: die 112x112, %d nets\n",
-               spec.num_nets);
   const bench::CaseContext ctx = bench::prepare_case(spec);
+  std::fprintf(stderr, "[search_micro] --compare: die 112x112, %d nets\n",
+               ctx.design.num_nets());
 
-  auto run_with = [&ctx](bool bucket, bool field) {
+  auto route = [&ctx] {
     grid::RoutingGrid grid(ctx.design);
-    core::RouterConfig cfg;
-    cfg.use_bucket_queue = bucket;
-    cfg.precomputed_congestion = field;
-    core::MrTplRouter router(ctx.design, &ctx.guides, cfg);
+    core::MrTplRouter router(ctx.design, &ctx.guides, core::RouterConfig{});
     const grid::Solution sol = router.run(grid);
     return CompareRun{router.stats(), io::solution_to_string(grid, sol)};
   };
 
-  // Two timed rounds each, interleaved; keep the faster round per engine
-  // so one scheduler hiccup can't decide the ratio.
-  CompareRun old_run = run_with(false, false);
-  CompareRun new_run = run_with(true, true);
-  {
-    const CompareRun old2 = run_with(false, false);
-    const CompareRun new2 = run_with(true, true);
-    if (old2.stats.reroute_s < old_run.stats.reroute_s) old_run = old2;
-    if (new2.stats.reroute_s < new_run.stats.reroute_s) new_run = new2;
-  }
-
-  if (old_run.serialized != new_run.serialized) {
+  // Two timed rounds; keep the faster so one scheduler hiccup can't
+  // decide the gate.
+  CompareRun run = route();
+  const CompareRun second = route();
+  if (second.serialized != run.serialized) {
     std::fprintf(stderr,
-                 "[search_micro] FATAL: legacy and new engines diverged — "
-                 "the (qkey, seq) order contract is broken\n");
+                 "[search_micro] FATAL: two routes of one design diverged\n");
     return 2;
   }
+  if (second.stats.reroute_s < run.stats.reroute_s) run = second;
 
-  const double speedup = old_run.stats.reroute_s / new_run.stats.reroute_s;
+  const double ns_per_relax =
+      run.stats.reroute_s * 1e9 / static_cast<double>(run.stats.relaxations);
   std::printf(
       "{\"bench\":\"search_micro_compare\",\"die\":112,\"nets\":%d,"
-      "\"old_reroute_s\":%.6f,\"new_reroute_s\":%.6f,\"speedup\":%.3f,"
-      "\"old_relaxations\":%llu,\"new_relaxations\":%llu,"
-      "\"identical\":true}\n",
-      spec.num_nets, old_run.stats.reroute_s, new_run.stats.reroute_s, speedup,
-      static_cast<unsigned long long>(old_run.stats.relaxations),
-      static_cast<unsigned long long>(new_run.stats.relaxations));
+      "\"reroute_s\":%.6f,\"relaxations\":%llu,"
+      "\"ns_per_relaxation\":%.2f,\"identical\":true}\n",
+      ctx.design.num_nets(), run.stats.reroute_s,
+      static_cast<unsigned long long>(run.stats.relaxations), ns_per_relax);
   std::fflush(stdout);
 
   if (thresholds_path == nullptr) return 0;
@@ -166,26 +152,26 @@ int run_compare(const char* thresholds_path) {
   }
   std::stringstream buf;
   buf << in.rdbuf();
-  const double min_speedup = parse_threshold(buf.str(), "min_speedup");
+  const double max_ns = parse_threshold(buf.str(), "max_ns_per_relaxation");
   const double max_relax = parse_threshold(buf.str(), "max_relaxations");
   int rc = 0;
-  if (min_speedup == min_speedup && speedup < min_speedup) {
+  if (max_ns == max_ns && ns_per_relax > max_ns) {
     std::fprintf(stderr,
-                 "[search_micro] FAIL: speedup %.3f below threshold %.3f\n",
-                 speedup, min_speedup);
+                 "[search_micro] FAIL: %.2f ns/relaxation above threshold %.2f\n",
+                 ns_per_relax, max_ns);
     rc = 1;
   }
   if (max_relax == max_relax &&
-      static_cast<double>(new_run.stats.relaxations) > max_relax) {
+      static_cast<double>(run.stats.relaxations) > max_relax) {
     std::fprintf(stderr,
                  "[search_micro] FAIL: relaxations %llu above threshold %.0f\n",
-                 static_cast<unsigned long long>(new_run.stats.relaxations),
+                 static_cast<unsigned long long>(run.stats.relaxations),
                  max_relax);
     rc = 1;
   }
   if (rc == 0)
-    std::fprintf(stderr, "[search_micro] thresholds OK (speedup %.2fx)\n",
-                 speedup);
+    std::fprintf(stderr, "[search_micro] thresholds OK (%.2f ns/relaxation)\n",
+                 ns_per_relax);
   return rc;
 }
 

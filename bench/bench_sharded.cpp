@@ -47,15 +47,6 @@
 
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 struct BenchRun {
   double gr_s = 0.0;
   double route_s = 0.0;
@@ -85,7 +76,7 @@ BenchRun run_config(const mrtpl::db::Design& design,
   r.stats = router.stats();
   r.metrics = eval::evaluate(grid, sol, &guides);
   r.serialized = io::solution_to_string(grid, sol);
-  r.hash = fnv1a(r.serialized);
+  r.hash = io::fnv1a(r.serialized);
   r.total_s = total.elapsed_s();
   return r;
 }

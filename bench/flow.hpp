@@ -53,7 +53,8 @@ inline FlowResult run_mrtpl(const CaseContext& ctx,
 /// Default configuration of the DAC-2012 baseline: the published 2012
 /// flow commits colors in one routing pass; its rip-up handles only
 /// unroutable nets. Negotiated color-conflict RRR with history cost is
-/// part of Mr.TPL's Fig. 2 flow, not the baseline's (DESIGN.md §2).
+/// part of Mr.TPL's Fig. 2 flow, not the baseline's; `bench_ablation_rrr`
+/// measures the baseline with it turned on.
 inline core::RouterConfig dac12_config() {
   core::RouterConfig config;
   config.rrr_on_color_conflicts = false;

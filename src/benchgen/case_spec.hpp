@@ -2,8 +2,9 @@
 /// \file case_spec.hpp
 /// Parameterisation of a synthetic routing case. Two named suites mirror
 /// the structural progression of the ISPD 2018 and ISPD 2019 contest
-/// benchmarks (small/sparse "test1" up to large/congested "test10"); see
-/// DESIGN.md §2 for the substitution rationale.
+/// benchmarks (small/sparse "test1" up to large/congested "test10");
+/// benchgen/generator.hpp lists the routing regimes they reproduce, and
+/// `bench_table2` / `bench_table3` run the two suites.
 
 #include <cstdint>
 #include <string>

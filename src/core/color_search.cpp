@@ -58,8 +58,7 @@ ColorSearch::ColorSearch(const grid::RoutingGrid& grid, RouterConfig config,
   // never relaxes into its own bucket — popped labels are final) and no
   // larger than 0.5, which divides every default and test rule weight
   // exactly. Degenerate rule sets (min edge <= 0) fall back to 0.5; the
-  // search then degrades to label-correcting but stays optimal, and both
-  // queue engines still agree key-for-key.
+  // search then degrades to label-correcting but stays optimal.
   const double min_edge = rules.alpha * std::min(rules.wire_cost, rules.via_cost);
   double quantum = min_edge > 0.0 ? std::min(0.5, min_edge) : 0.5;
   inv_quantum_ = 1.0 / quantum;
@@ -202,24 +201,10 @@ double ColorSearch::heuristic(grid::VertexId v) const {
 
 void ColorSearch::push(grid::VertexId v, double g) {
   const double f = g + heuristic(v);
-  // Quantized key: both engines order by (qkey, push seq), so the pop
-  // sequence — and therefore the routing output — is engine-independent.
+  // Quantized key: the queue orders by (qkey, push seq), so the pop
+  // sequence — and therefore the routing output — is reproducible.
   const auto qkey = static_cast<std::uint64_t>(f * inv_quantum_);
-  const QueueItem item{g, v, round_};
-  if (config_.use_bucket_queue)
-    arena_->bucket_queue.push(qkey, item, arena_->seq++);
-  else
-    arena_->heap_queue.push(qkey, item, arena_->seq++);
-}
-
-bool ColorSearch::queue_empty() const {
-  return config_.use_bucket_queue ? arena_->bucket_queue.empty()
-                                  : arena_->heap_queue.empty();
-}
-
-QueueItem ColorSearch::pop_item() {
-  return config_.use_bucket_queue ? arena_->bucket_queue.pop()
-                                  : arena_->heap_queue.pop();
+  arena_->bucket_queue.push(qkey, QueueItem{g, v, round_}, arena_->seq++);
 }
 
 int ColorSearch::target_pin(grid::VertexId v) const {
@@ -234,14 +219,13 @@ grid::VertexId ColorSearch::search() {
   // in the Dcolor window; it substitutes for the self-excluding window
   // scan exactly when this net has no colored vertex anywhere — always
   // true in the router flows (rip-up clears masks, pins start uncolored).
-  const bool use_field =
-      config_.precomputed_congestion && grid_.colored_count(net_) == 0;
+  const bool use_field = grid_.colored_count(net_) == 0;
   const int nx = grid_.size_x();
   const int nl = grid_.num_layers();
   const auto layer_stride =
       static_cast<grid::VertexId>(nx) * static_cast<grid::VertexId>(grid_.size_y());
 
-  while (!queue_empty()) {
+  while (!a.bucket_queue.empty()) {
     // Cooperative cancellation: poll the deadline/cancel flag once per
     // kBudgetCheckInterval relaxations. Relaxation *budgets* are not
     // checked here — they stop between nets, on the main thread, so the
@@ -253,7 +237,7 @@ grid::VertexId ColorSearch::search() {
         return grid::kInvalidVertex;
       }
     }
-    const QueueItem item = pop_item();
+    const QueueItem item = a.bucket_queue.pop();
     const grid::VertexId v = item.v;
     if (a.stamp[v] != a.epoch || a.closed[v] || item.g > a.cost[v] + kEps) continue;
     if (config_.use_astar && item.round != round_) {
@@ -372,15 +356,6 @@ grid::VertexId ColorSearch::search() {
     }
   }
   return grid::kInvalidVertex;
-}
-
-void ColorSearch::make_source(grid::VertexId v, ColorState state) {
-  touch(v);
-  arena_->cost[v] = 0.0;
-  arena_->prev[v] = grid::kInvalidVertex;
-  arena_->state[v] = state.bits();
-  arena_->closed[v] = 0;
-  push(v, 0.0);
 }
 
 }  // namespace mrtpl::core

@@ -10,14 +10,13 @@
 ///
 /// The hot path runs on a SearchArena (search_arena.hpp): epoch-stamped
 /// SoA labels reused across nets without clearing, a stamped target
-/// registry, a per-session guide-cover bitmap, and one of two queue
-/// engines — the flat monotone bucket queue (default) or the legacy
-/// binary heap — both popping in the SAME (quantized key, push sequence)
-/// order, so routing output is byte-identical across engines. Per-die
-/// cost atoms (per-layer/per-direction base costs, TPL-layer flags) are
-/// precomputed once at construction; the per-mask congestion term can
-/// read the grid's incrementally maintained colored-neighbor counts
-/// instead of rescanning the Dcolor window on every relaxation.
+/// registry, a per-session guide-cover bitmap, and a flat monotone bucket
+/// queue popping in (quantized key, push sequence) order. Per-die cost
+/// atoms (per-layer/per-direction base costs, TPL-layer flags) are
+/// precomputed once at construction. The per-mask congestion term reads
+/// the grid's incrementally maintained colored-neighbor counts; only a net
+/// that already holds colored vertices falls back to rescanning the Dcolor
+/// window on every relaxation.
 
 #include <memory>
 #include <vector>
@@ -47,8 +46,10 @@ class ColorSearch {
   /// relaxation counter and retires all labels of the previous session.
   void begin_net(db::NetId net, const global::NetGuide* guide, geom::Rect window);
 
-  /// Seed a source vertex with cost 0 and the given state (Algorithm 1
-  /// lines 4–8 use ColorState::all()).
+  /// Seed a source vertex with cost 0 and the given state, and queue it.
+  /// Algorithm 1 lines 4–8 seed the first pin with ColorState::all();
+  /// Algorithm 3 lines 17–18 re-seed every routed tree vertex (zero cost,
+  /// its kept or replaced state) so the tree sources the next pin search.
   void add_source(grid::VertexId v, ColorState state);
 
   /// Register vertex `v` as belonging to (unreached) pin `pin`.
@@ -89,10 +90,6 @@ class ColorSearch {
     return arena_->stamp[v] == arena_->epoch;
   }
 
-  /// Algorithm 3 lines 17–18: zero the vertex's cost, keep/replace its
-  /// state, and re-queue it so the routed tree seeds the next pin search.
-  void make_source(grid::VertexId v, ColorState state);
-
   /// Label relaxations performed since the most recent begin_net — a
   /// strictly per-net counter (begin_net resets it to zero); callers that
   /// want per-run totals must accumulate it themselves, once per net.
@@ -130,8 +127,6 @@ class ColorSearch {
   /// is off or no targets remain).
   [[nodiscard]] double heuristic(grid::VertexId v) const;
   void push(grid::VertexId v, double g);
-  [[nodiscard]] QueueItem pop_item();
-  [[nodiscard]] bool queue_empty() const;
 
   const grid::RoutingGrid& grid_;
   RouterConfig config_;

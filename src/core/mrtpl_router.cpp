@@ -205,7 +205,7 @@ MrTplRouter::RouteOutcome MrTplRouter::compute_route(const grid::RoutingGrid& gr
     // Re-seed the tree (Algorithm 3 lines 17–18): every path vertex
     // becomes a zero-cost source carrying its segSet state.
     for (const grid::VertexId v : path)
-      search.make_source(v, pool.state_of(pool.verset_of(v)));
+      search.add_source(v, pool.state_of(pool.verset_of(v)));
 
     // The reached pin's metal joins the tree: same verSet as dst. Pin
     // vertices enter the route as their own single-vertex paths so that
@@ -215,7 +215,7 @@ MrTplRouter::RouteOutcome MrTplRouter::compute_route(const grid::RoutingGrid& gr
     const VerSetId dst_vs = pool.verset_of(dst);
     for (const grid::VertexId v : pin_verts[static_cast<size_t>(pin)]) {
       if (pool.verset_of(v) == kNoVerSet) pool.attach(v, dst_vs);
-      search.make_source(v, pool.state_of(dst_vs));
+      search.add_source(v, pool.state_of(dst_vs));
       route.paths.push_back({v});
     }
     route.paths.push_back(std::move(path));

@@ -2,7 +2,8 @@
 /// \file router_config.hpp
 /// Tunables of the Mr.TPL detailed router. Weight defaults follow the
 /// TechRules of the design; the toggles exist for the ablation benches
-/// (DESIGN.md experiments A1–A3).
+/// (`bench_ablation_colorstate`, `_stitch`, `_rrr` and `_astar`: A1, A2,
+/// A3 and A5).
 
 #include <cstdint>
 
@@ -17,8 +18,8 @@ struct RouterConfig {
   /// RRR is part of Mr.TPL's Fig. 2 flow; the DAC-2012 baseline's
   /// published flow commits colors in one pass and its rip-up only targets
   /// unroutable nets, so the Table II harness runs the baseline with this
-  /// off (see DESIGN.md §2). Turning it on for the baseline is the
-  /// `bench_ablation_rrr` "negotiated baseline" ablation.
+  /// off (bench/flow.hpp `dac12_config`). Turning it on for the baseline
+  /// is the `bench_ablation_rrr` "negotiated baseline" ablation.
   bool rrr_on_color_conflicts = true;
 
   /// Worker threads of the tile-sharded executor. Threads parallelize
@@ -63,21 +64,6 @@ struct RouterConfig {
   /// When false, skip coloring entirely (plain-router mode used by the
   /// decomposition flow of Table III).
   bool enable_coloring = true;
-
-  // ---- search hot-path engine (README "Search hot path") ---------------
-  /// Pop queued labels from the flat monotone bucket queue instead of the
-  /// legacy binary heap. Both engines pop in the same (quantized key,
-  /// push sequence) order, so routing output is byte-identical; this is
-  /// purely a constant-factor switch, kept so `bench_search_micro
-  /// --compare` and the equivalence tests can pin one against the other.
-  bool use_bucket_queue = true;
-
-  /// Read the per-mask color-conflict counts from the grid's incrementally
-  /// maintained congestion field instead of rescanning the Dcolor window
-  /// on every relaxation. Exact (the searcher falls back to the scan for
-  /// the rare net that already holds colored vertices), so output is
-  /// byte-identical with the toggle off.
-  bool precomputed_congestion = true;
 
   /// Drive the color-state search as A* with an admissible Manhattan
   /// lower bound to the nearest unreached pin instead of plain Dijkstra

@@ -1,5 +1,6 @@
 #include "core/search_arena.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <new>
@@ -106,7 +107,6 @@ void SearchArena::begin_session() {
     epoch = 1;
   }
   bucket_queue.clear();
-  heap_queue.clear();
   seq = 0;
   target_list.clear();
   any_touched = false;

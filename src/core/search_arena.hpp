@@ -2,30 +2,25 @@
 /// \file search_arena.hpp
 /// Preallocated scratch state of the color-state search hot path: SoA
 /// label arrays reused across nets via epoch stamping, the stamped target
-/// registry, the rasterized guide-cover bitmap, and the two queue engines.
+/// registry, the rasterized guide-cover bitmap, and the priority queue.
 ///
-/// Both engines implement the SAME total pop order — (quantized key, push
-/// sequence), lexicographic — so the routing output is byte-identical no
-/// matter which one runs:
-///
-///  * BucketQueue: a flat bucket array indexed by the quantized key with
-///    FIFO buckets. FIFO within a bucket IS push-sequence order, and a
-///    two-level occupancy bitmap finds the lowest non-empty bucket in a
-///    handful of word operations. With the quantum no larger than the
-///    cheapest edge, a Dijkstra pass never relaxes into the bucket it is
-///    draining, so the scan cursor moves monotonically; pushes below the
-///    cursor (possible only under A* re-keying) rewind it, which keeps
-///    the structure an *exact* (key, seq) priority queue, not merely an
-///    approximate monotone one.
-///  * HeapQueue: a binary heap ordered by the same (key, seq) pair — the
-///    legacy std::priority_queue engine, kept as the oracle and as the
-///    "old" side of `bench_search_micro --compare`.
-///
+/// BucketQueue pops in one total order — (quantized key, push sequence),
+/// lexicographic — which is what makes the routing output reproducible.
+/// It is a flat bucket array indexed by the quantized key with FIFO
+/// buckets: FIFO within a bucket IS push-sequence order, and a two-level
+/// occupancy bitmap finds the lowest non-empty bucket in a handful of word
+/// operations. With the quantum no larger than the cheapest edge, a
+/// Dijkstra pass never relaxes into the bucket it is draining, so the
+/// scan cursor moves monotonically; pushes below the cursor (possible only
+/// under A* re-keying) rewind it, which keeps the structure an *exact*
+/// (key, seq) priority queue, not merely an approximate monotone one.
 /// Keys beyond the bucket range spill into an overflow heap (same order);
 /// bucket items always pop first because their keys are strictly smaller.
+/// test_search_arena pins the order element for element against a plain
+/// binary heap (tests/support/reference_queue.hpp).
 
-#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geom/rect.hpp"
@@ -95,41 +90,6 @@ class BucketQueue {
   std::vector<OverflowItem> overflow_;  ///< std::*_heap managed (clear keeps capacity)
 };
 
-/// The legacy engine: a binary heap over the same (qkey, seq) order.
-/// Implemented on a plain vector (std::push_heap/pop_heap) instead of
-/// std::priority_queue so clear() can keep the allocation.
-class HeapQueue {
- public:
-  void clear() { items_.clear(); }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-
-  void push(std::uint64_t qkey, const QueueItem& item, std::uint32_t seq) {
-    items_.push_back({qkey, seq, item});
-    std::push_heap(items_.begin(), items_.end(), After{});
-  }
-
-  QueueItem pop() {
-    std::pop_heap(items_.begin(), items_.end(), After{});
-    const QueueItem item = items_.back().item;
-    items_.pop_back();
-    return item;
-  }
-
- private:
-  struct HeapItem {
-    std::uint64_t qkey = 0;
-    std::uint32_t seq = 0;
-    QueueItem item;
-  };
-  struct After {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      return a.qkey != b.qkey ? a.qkey > b.qkey : a.seq > b.seq;
-    }
-  };
-  std::vector<HeapItem> items_;
-};
-
 /// Per-worker scratch arena of ColorSearch. One arena serves an unbounded
 /// sequence of nets: begin_session() bumps the epoch instead of clearing
 /// the O(die) label arrays, and every other structure resets in O(touched).
@@ -149,10 +109,9 @@ struct SearchArena {
   std::vector<std::uint32_t> target_stamp;
   std::vector<std::pair<grid::VertexId, int>> target_list;
 
-  // ---- queues (one engine active per config) --------------------------
+  // ---- queue ----------------------------------------------------------
   BucketQueue bucket_queue;
-  HeapQueue heap_queue;
-  std::uint32_t seq = 0;  ///< push sequence, the tie-break of both engines
+  std::uint32_t seq = 0;  ///< push sequence, the queue's tie-break
 
   // ---- per-session guide-cover bitmap over the search window ----------
   std::vector<std::uint64_t> guide_bits;

@@ -92,6 +92,15 @@ std::string solution_to_string(const grid::RoutingGrid& grid,
   return ss.str();
 }
 
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 grid::Solution read_solution(std::istream& is, grid::RoutingGrid& grid,
                              const std::string& source) {
   Cursor cur{is, source};

@@ -17,6 +17,7 @@
 ///   guide <net_id> <num_boxes> (<x0> <y0> <x1> <y1>)*
 ///   end
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -32,6 +33,10 @@ void write_solution(std::ostream& os, const grid::RoutingGrid& grid,
                     const grid::Solution& solution);
 std::string solution_to_string(const grid::RoutingGrid& grid,
                                const grid::Solution& solution);
+
+/// 64-bit FNV-1a of `text`. Of solution_to_string's output it is the
+/// solution hash that bench_sharded prints and tests/golden pins.
+[[nodiscard]] std::uint64_t fnv1a(const std::string& text);
 
 /// Parse a solution and commit it into `grid` (vertices + masks). The
 /// grid must be freshly built from the same design. Throws io::ParseError

@@ -37,6 +37,29 @@ TEST(CliSmoke, UsageAndUnknownCommand) {
   EXPECT_EQ(cli::run({"generate"}), 2);  // missing --case
   EXPECT_EQ(cli::run({"generate", "--case", "no_such_case"}), 2);
   EXPECT_EQ(cli::run({"list-cases"}), 0);
+
+  // A flag the subcommand does not read, or a valued flag with no value,
+  // is a usage error naming the flag — never silently dropped.
+  const std::string design = tmp_path("flags.design");
+  ASSERT_EQ(cli::run({"generate", "--case", "tiny", "--out", design}), 0);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli::run({"route", "--design", design, "--thread", "4"}), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--thread"),
+            std::string::npos);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli::run({"route", "--design", design, "--rrr"}), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--rrr"),
+            std::string::npos);
+  EXPECT_EQ(cli::run({"route", "--design", design, "--deadline"}), 2);
+  EXPECT_EQ(cli::run({"route", "--design", design, "--rrr", "--threads", "2"}), 2);
+  EXPECT_EQ(cli::run({"eval", "--design", "--solution", "x.sol"}), 2);
+  EXPECT_EQ(cli::run({"list-cases", "--quick"}), 2);
+  EXPECT_EQ(cli::run({"suite", "--filter", "degenerate_empty", "--tiles"}), 2);
+  // `serve` reads the session flags but not `session`'s own --audit.
+  EXPECT_EQ(cli::run({"serve", "--design", design, "--no-guides", "--audit"}), 2);
+  EXPECT_EQ(cli::run({"send", "--socket", "none.sock", "--no-guides"}), 2);
+  // A boolean flag never takes a value: the word after it is not eaten.
+  EXPECT_EQ(cli::run({"route", "--no-guides", "--design", design}), 0);
 }
 
 TEST(CliSmoke, GenerateRouteEvalVerifyRoundTrip) {

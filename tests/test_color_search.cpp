@@ -184,7 +184,7 @@ TEST(ColorSearch, MakeSourceReseedsTree) {
   search.clear_targets_of_pin(1);
   // Re-seed a mid-path vertex and search for a new target: cost from the
   // new source should be used.
-  search.make_source(g.vertex(0, 8, 8), ColorState(0b100));
+  search.add_source(g.vertex(0, 8, 8), ColorState(0b100));
   search.add_target(g.vertex(0, 8, 14), 2);
   const grid::VertexId reached = search.search();
   ASSERT_NE(reached, grid::kInvalidVertex);

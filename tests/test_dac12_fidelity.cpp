@@ -1,8 +1,9 @@
 /// \file test_dac12_fidelity.cpp
 /// Behavioral pins for the properties that make the DAC-2012 baseline a
 /// *faithful* replication of the 2012 method rather than a second
-/// Mr.TPL. Table II's shape rests on exactly two behaviours (DESIGN.md
-/// §6 items 4–5): per-subnet junction-blind coloring, and no
+/// Mr.TPL. Table II's shape rests on exactly two behaviours (the
+/// baseline/dac12_router.hpp file comment, and `bench_ablation_rrr`'s
+/// negotiated-baseline row): per-subnet junction-blind coloring, and no
 /// color-conflict-driven rip-up. If a refactor accidentally "fixes"
 /// either, these tests fail before the bench does.
 

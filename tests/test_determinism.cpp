@@ -1,5 +1,5 @@
 /// \file test_determinism.cpp
-/// DESIGN.md §5 claims full determinism: a (case, seed) pair determines
+/// README "Concurrency model & determinism": a (case, seed) pair determines
 /// every layout, route, and metric. These tests run complete flows twice
 /// and require byte-identical serializations — the strongest equality the
 /// I/O layer can express.
@@ -111,45 +111,6 @@ TEST_P(ShardSweepDeterminism, AnyTileThreadConfigMatchesSerialReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardSweepDeterminism,
                          ::testing::Values(10, 20, 30));
-
-/// The determinism contract of the search hot path (README "Search hot
-/// path"): the bucket queue and the legacy heap implement the same
-/// (quantized key, push sequence) pop order, and the precomputed
-/// congestion field is an exact stand-in for the window scan — so ALL
-/// four engine combinations, serial and tiled at every thread count, must
-/// serialize byte-identically. This is what lets `bench_search_micro --compare`
-/// measure old-vs-new on guaranteed-equal outputs.
-class EngineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(EngineEquivalence, QueueAndCongestionEnginesAreByteIdentical) {
-  const db::Design design = benchgen::generate(spec_of(GetParam()));
-  global::GlobalRouter gr(design);
-  const global::GuideSet guides = gr.route_all();
-  auto run_with = [&](bool bucket, bool field, int threads) {
-    grid::RoutingGrid grid(design);
-    core::RouterConfig cfg;
-    cfg.use_bucket_queue = bucket;
-    cfg.precomputed_congestion = field;
-    cfg.shard_tiles = threads > 1 ? 4 : 1;
-    cfg.rrr_threads = threads;
-    core::MrTplRouter router(design, &guides, cfg);
-    const grid::Solution sol = router.run(grid);
-    return io::solution_to_string(grid, sol);
-  };
-  const std::string reference = run_with(false, false, 1);  // legacy engine
-  for (const bool bucket : {false, true}) {
-    for (const bool field : {false, true}) {
-      for (const int threads : {1, 2, 8}) {
-        if (!bucket && !field && threads == 1) continue;
-        EXPECT_EQ(run_with(bucket, field, threads), reference)
-            << "bucket " << bucket << " field " << field << " threads "
-            << threads << " seed " << GetParam();
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalence, ::testing::Values(10, 20, 30));
 
 /// Every ablation toggle of RouterConfig, and every combination of the
 /// boolean ones, must leave the router fully deterministic: two

@@ -1,7 +1,8 @@
 /// \file test_grid_property.cpp
 /// Structural invariants of the routing grid, swept over layer/size
 /// shapes: vertex<->loc bijection, neighbor inverses, window symmetry of
-/// the Dcolor neighborhood, and commit/release round trips.
+/// the Dcolor neighborhood, commit/release round trips, and the
+/// incrementally maintained congestion field against the window scan.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "benchgen/generator.hpp"
 #include "grid/routing_grid.hpp"
 #include "support/builders.hpp"
+#include "util/rng.hpp"
 
 namespace mrtpl::grid {
 namespace {
@@ -164,6 +166,57 @@ TEST(GridCommit, ReleaseRestoresPinOwnership) {
   }
   FAIL() << "no pin vertex found";
 }
+
+/// The congestion field the search reads in place of the Dcolor window
+/// scan (README "Search hot path") must equal that scan for any net that
+/// holds no colors, after every commit/set_mask/release. Random mutation
+/// sequences over a small hot region (so windows overlap heavily) mix
+/// recolors, pin-vertex releases, uncolored commits and re-commits.
+class CongestionFieldOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CongestionFieldOracle, FieldMatchesWindowScanAfterEveryMutation) {
+  const db::Design d = benchgen::generate(benchgen::tiny_case());
+  RoutingGrid g(d);
+  util::Rng rng(GetParam());
+  constexpr db::NetId kNets = 4;
+  constexpr db::NetId kProbe = 1000;  // never committed: holds no colors
+  ASSERT_EQ(g.colored_count(kProbe), 0u);
+  for (int op = 0; op < 400; ++op) {
+    const VertexId v = g.vertex(rng.next_int(0, g.num_layers() - 1),
+                                rng.next_int(4, 13), rng.next_int(4, 13));
+    if (g.blocked(v)) continue;
+    const int pick = rng.next_int(-1, kNumMasks - 1);
+    const Mask m = pick < 0 ? kNoMask : static_cast<Mask>(pick);
+    const db::NetId owner = g.owner(v);
+    const double roll = rng.next_double();
+    if (owner == db::kNoNet || roll < 0.4) {
+      g.commit(v, owner != db::kNoNet ? owner : rng.next_int(0, kNets - 1), m);
+    } else if (roll < 0.7) {
+      g.set_mask(v, m);
+    } else {
+      g.release(v);
+    }
+
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      if (!g.tech().is_tpl_layer(g.loc(u).layer)) continue;
+      int scan[kNumMasks] = {0, 0, 0};
+      g.for_each_colored_neighbor(u, kProbe,
+                                  [&scan](VertexId, db::NetId, Mask c) { ++scan[c]; });
+      const std::uint16_t* field = g.colored_neighbor_counts(u);
+      for (int c = 0; c < kNumMasks; ++c)
+        ASSERT_EQ(field[c], scan[c]) << "op " << op << " vertex " << u << " mask " << c;
+    }
+    // colored_count is the guard that lets the search trust the field.
+    std::uint32_t colored[kNets] = {0, 0, 0, 0};
+    for (VertexId u = 0; u < g.num_vertices(); ++u)
+      if (g.owner(u) >= 0 && g.owner(u) < kNets && g.mask(u) != kNoMask)
+        ++colored[g.owner(u)];
+    for (db::NetId n = 0; n < kNets; ++n)
+      ASSERT_EQ(g.colored_count(n), colored[n]) << "op " << op << " net " << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CongestionFieldOracle, ::testing::Values(1, 2, 3, 4));
 
 TEST(GridHistory, AccumulatesAndClears) {
   const db::Design d = benchgen::generate(benchgen::tiny_case());

@@ -2,11 +2,11 @@
 /// The search hot path's two load-bearing reuse contracts (README "Search
 /// hot path"):
 ///
-///  1. BucketQueue and HeapQueue pop in the SAME total order — (quantized
-///     key, push sequence), lexicographic — including the equal-key FIFO
-///     tie-break and the overflow range. The routing engines' byte-identity
-///     rests on this, so it is pinned element-for-element on randomized
-///     push/pop streams.
+///  1. BucketQueue pops in the same total order as a plain binary heap
+///     (tests/support/reference_queue.hpp) — (quantized key, push
+///     sequence), lexicographic — including the equal-key FIFO tie-break
+///     and the overflow range. Reproducible routing rests on this, so it
+///     is pinned element-for-element on randomized push/pop streams.
 ///  2. A SearchArena reused across an unbounded sequence of nets (epoch
 ///     stamping, no clearing) behaves exactly like fresh per-net state.
 
@@ -22,14 +22,15 @@
 #include "grid/routing_grid.hpp"
 #include "io/solution_io.hpp"
 #include "support/builders.hpp"
+#include "support/reference_queue.hpp"
 #include "util/rng.hpp"
 
 namespace mrtpl {
 namespace {
 
 using core::BucketQueue;
-using core::HeapQueue;
 using core::QueueItem;
+using test::HeapQueue;
 
 /// Reference order: plain stable sort on (qkey, seq).
 struct RefItem {

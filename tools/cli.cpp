@@ -25,8 +25,9 @@
 ///       the run (route_budget.hpp); a degraded result exits 4.
 ///
 /// Exit codes (pinned by test_cli_smoke): 0 success, 1 flow failure
-/// (conflicts, DRC violations, unexpected errors), 2 usage, 3 malformed
-/// input (io::ParseError), 4 budget-degraded result.
+/// (conflicts, DRC violations, unexpected errors), 2 usage (including a
+/// flag the subcommand does not read, or a valued flag with no value),
+/// 3 malformed input (io::ParseError), 4 budget-degraded result.
 ///   eval --design <file> --solution <file>
 ///       Re-verify a saved solution (conflicts/stitches/cost) offline.
 ///   verify --design <file> --solution <file> [--no-color-check]
@@ -69,8 +70,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "baseline/dac12_router.hpp"
@@ -101,23 +104,34 @@
 namespace mrtpl::cli {
 namespace {
 
-/// Minimal --flag/value option parser; positional[0] is the subcommand.
+/// --flag/value option parser against one subcommand's flag lists
+/// (argv[0], the subcommand, is skipped). A valued flag takes the next
+/// word as its value, a boolean flag never does; any other --word, or a
+/// valued flag with no value after it, is recorded in `error`.
 struct Args {
-  std::string command;
   std::map<std::string, std::string> options;
-  std::map<std::string, bool> flags;
+  std::set<std::string> flags;
+  std::string error;
 
-  static Args parse(const std::vector<std::string>& argv) {
+  /// `valued` / `boolean`: space-separated flag names without the "--".
+  static Args parse(const std::vector<std::string>& argv,
+                    const std::string& valued, const std::string& boolean) {
+    const auto lists = [](const std::string& list, const std::string& flag) {
+      return !flag.empty() &&
+             (" " + list + " ").find(" " + flag + " ") != std::string::npos;
+    };
     Args args;
-    if (!argv.empty()) args.command = argv[0];
-    for (size_t i = 1; i < argv.size(); ++i) {
-      std::string a = argv[i];
-      if (a.rfind("--", 0) != 0) continue;
-      a = a.substr(2);
-      if (i + 1 < argv.size() && argv[i + 1].rfind("--", 0) != 0) {
-        args.options[a] = argv[++i];
+    for (size_t i = 1; i < argv.size() && args.error.empty(); ++i) {
+      if (argv[i].rfind("--", 0) != 0) continue;
+      const std::string flag = argv[i].substr(2);
+      if (lists(boolean, flag)) {
+        args.flags.insert(flag);
+      } else if (!lists(valued, flag)) {
+        args.error = "unknown flag --" + flag;
+      } else if (i + 1 < argv.size() && argv[i + 1].rfind("--", 0) != 0) {
+        args.options[flag] = argv[++i];
       } else {
-        args.flags[a] = true;
+        args.error = "--" + flag + " wants a value";
       }
     }
     return args;
@@ -127,35 +141,52 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? std::nullopt : std::make_optional(it->second);
   }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return flags.contains(key) || options.contains(key);
+  [[nodiscard]] bool has(const std::string& flag) const {
+    return flags.contains(flag);
   }
 };
 
-/// Strict integer flag parser: the whole word must be a number that fits
-/// an int, otherwise nullopt (std::stoi alone would throw out of main and
-/// abort on e.g. `--threads x`).
-std::optional<int> parse_int(const std::string& word) {
+/// Read integer flag `--name` into `*out` when present. The whole word
+/// must be an integer in [lo, hi] (std::stoi alone would throw out of
+/// main on e.g. `--threads x`); otherwise print a usage message and
+/// return false.
+template <typename T>
+bool int_flag(const Args& args, const char* cmd, const char* name, int lo,
+              T* out, int hi = std::numeric_limits<int>::max()) {
+  const auto word = args.get(name);
+  if (!word) return true;
   try {
     size_t used = 0;
-    const int value = std::stoi(word, &used);
-    if (used != word.size()) return std::nullopt;
-    return value;
+    const int value = std::stoi(*word, &used);
+    if (used == word->size() && value >= lo && value <= hi) {
+      *out = static_cast<T>(value);
+      return true;
+    }
   } catch (const std::exception&) {
-    return std::nullopt;
   }
+  if (hi == std::numeric_limits<int>::max())
+    std::fprintf(stderr, "%s: --%s wants an integer >= %d\n", cmd, name, lo);
+  else
+    std::fprintf(stderr, "%s: --%s wants an integer in %d..%d\n", cmd, name, lo, hi);
+  return false;
 }
 
-/// Positive-double flag parser (deadline/watermark seconds).
-std::optional<double> parse_seconds(const std::string& word) {
+/// Read positive-seconds flag `--name` into `*out` when present;
+/// otherwise print a usage message and return false.
+bool seconds_flag(const Args& args, const char* cmd, const char* name, double* out) {
+  const auto word = args.get(name);
+  if (!word) return true;
   try {
     size_t used = 0;
-    const double value = std::stod(word, &used);
-    if (used != word.size() || value <= 0.0) return std::nullopt;
-    return value;
+    const double value = std::stod(*word, &used);
+    if (used == word->size() && value > 0.0) {
+      *out = value;
+      return true;
+    }
   } catch (const std::exception&) {
-    return std::nullopt;
   }
+  std::fprintf(stderr, "%s: --%s wants a positive number (seconds)\n", cmd, name);
+  return false;
 }
 
 std::optional<benchgen::CaseSpec> find_case(const std::string& name) {
@@ -179,7 +210,7 @@ std::optional<benchgen::CaseSpec> find_case(const std::string& name) {
   return std::nullopt;
 }
 
-int cmd_list_cases() {
+int cmd_list_cases(const Args&) {
   std::printf("%-16s %-9s %-6s %-6s %s\n", "case", "die", "nets", "dcolor", "seed");
   auto print_suite = [](const std::vector<benchgen::CaseSpec>& suite) {
     for (const auto& s : suite)
@@ -202,30 +233,10 @@ int cmd_list_cases() {
 int cmd_suite(const Args& args) {
   scenario::RunnerOptions options;
   options.quick = args.has("quick");
-  if (const auto threads = args.get("threads")) {
-    const auto n = parse_int(*threads);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "suite: --threads must be >= 1\n");
-      return 2;
-    }
-    options.config.rrr_threads = *n;
-  }
-  if (const auto tiles = args.get("tiles")) {
-    const auto n = parse_int(*tiles);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "suite: --tiles must be >= 1\n");
-      return 2;
-    }
-    options.config.shard_tiles = *n;
-  }
-  if (const auto timeout = args.get("timeout")) {
-    const auto n = parse_int(*timeout);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "suite: --timeout wants a positive integer (seconds)\n");
-      return 2;
-    }
-    options.timeout_s = static_cast<double>(*n);
-  }
+  if (!int_flag(args, "suite", "threads", 1, &options.config.rrr_threads) ||
+      !int_flag(args, "suite", "tiles", 1, &options.config.shard_tiles) ||
+      !int_flag(args, "suite", "timeout", 1, &options.timeout_s))
+    return 2;
 
   const std::string filter = args.get("filter").value_or("");
   const auto selection = scenario::ScenarioRegistry::builtin().filter(filter);
@@ -324,48 +335,13 @@ int cmd_route(const Args& args) {
   }
 
   core::RouterConfig config;
-  if (const auto rrr = args.get("rrr")) {
-    const auto n = parse_int(*rrr);
-    if (!n || *n < 0) {
-      std::fprintf(stderr, "route: --rrr wants a non-negative integer\n");
-      return 2;
-    }
-    config.max_rrr_iterations = *n;
-  }
-  if (const auto threads = args.get("threads")) {
-    const auto n = parse_int(*threads);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "route: --threads must be >= 1\n");
-      return 2;
-    }
-    config.rrr_threads = *n;
-  }
-  if (const auto tiles = args.get("tiles")) {
-    const auto n = parse_int(*tiles);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "route: --tiles must be >= 1\n");
-      return 2;
-    }
-    config.shard_tiles = *n;
-  }
-
   core::RouteBudget route_budget;
-  if (const auto deadline = args.get("deadline")) {
-    const auto s = parse_seconds(*deadline);
-    if (!s) {
-      std::fprintf(stderr, "route: --deadline wants a positive number (seconds)\n");
-      return 2;
-    }
-    route_budget.deadline_s = *s;
-  }
-  if (const auto max_relax = args.get("max-relax")) {
-    const auto n = parse_int(*max_relax);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "route: --max-relax wants a positive integer\n");
-      return 2;
-    }
-    route_budget.max_relaxations = static_cast<std::uint64_t>(*n);
-  }
+  if (!int_flag(args, "route", "rrr", 0, &config.max_rrr_iterations) ||
+      !int_flag(args, "route", "threads", 1, &config.rrr_threads) ||
+      !int_flag(args, "route", "tiles", 1, &config.shard_tiles) ||
+      !seconds_flag(args, "route", "deadline", &route_budget.deadline_s) ||
+      !int_flag(args, "route", "max-relax", 1, &route_budget.max_relaxations))
+    return 2;
   if (!route_budget.unlimited() && router_name != "mrtpl") {
     std::fprintf(stderr, "route: --deadline/--max-relax need --router mrtpl\n");
     return 2;
@@ -506,50 +482,13 @@ int cmd_report(const Args& args) {
 /// `config`; returns 0 or the usage exit code (2) after a message.
 int parse_session_config(const Args& args, const char* cmd,
                          session::SessionConfig* config) {
-  if (const auto every = args.get("snapshot-every")) {
-    const auto n = parse_int(*every);
-    if (!n || *n < 0) {
-      std::fprintf(stderr, "%s: --snapshot-every wants an integer >= 0\n", cmd);
-      return 2;
-    }
-    config->snapshot_every = *n;
-  }
-  if (const auto deadline = args.get("deadline")) {
-    const auto s = parse_seconds(*deadline);
-    if (!s) {
-      std::fprintf(stderr, "%s: --deadline wants a positive number (seconds)\n",
-                   cmd);
-      return 2;
-    }
-    config->deadline_s = *s;
-  }
-  if (const auto relax = args.get("degrade-relax")) {
-    const auto n = parse_int(*relax);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "%s: --degrade-relax wants a positive integer\n", cmd);
-      return 2;
-    }
-    config->degrade_relax_cap = static_cast<std::uint64_t>(*n);
-  }
-  if (const auto watermark = args.get("latency-watermark")) {
-    const auto s = parse_seconds(*watermark);
-    if (!s) {
-      std::fprintf(
-          stderr, "%s: --latency-watermark wants a positive number (seconds)\n",
-          cmd);
-      return 2;
-    }
-    config->latency_watermark_s = *s;
-  }
-  if (const auto depth = args.get("max-queue")) {
-    const auto n = parse_int(*depth);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "%s: --max-queue wants a positive integer\n", cmd);
-      return 2;
-    }
-    config->max_queue_depth = *n;
-  }
-  return 0;
+  const bool ok =
+      int_flag(args, cmd, "snapshot-every", 0, &config->snapshot_every) &&
+      seconds_flag(args, cmd, "deadline", &config->deadline_s) &&
+      int_flag(args, cmd, "degrade-relax", 1, &config->degrade_relax_cap) &&
+      seconds_flag(args, cmd, "latency-watermark", &config->latency_watermark_s) &&
+      int_flag(args, cmd, "max-queue", 1, &config->max_queue_depth);
+  return ok ? 0 : 2;
 }
 
 /// Open the session backend shared by `session` and `serve`: --recover
@@ -679,41 +618,13 @@ int cmd_serve(const Args& args) {
 
   server::DaemonConfig dconfig;
   if (const auto sock = args.get("socket")) dconfig.unix_path = *sock;
-  if (const auto port = args.get("port")) {
-    const auto n = parse_int(*port);
-    if (!n || *n < 0 || *n > 65535) {
-      std::fprintf(stderr, "serve: --port wants 0..65535 (0 = ephemeral)\n");
-      return 2;
-    }
-    dconfig.tcp_port = *n;
-  } else if (!dconfig.unix_path.empty()) {
-    dconfig.tcp_port = -1;  // unix only unless a port was asked for
-  }
-  if (const auto idle = args.get("idle-timeout")) {
-    const auto s = parse_seconds(*idle);
-    if (!s) {
-      std::fprintf(stderr,
-                   "serve: --idle-timeout wants a positive number (seconds)\n");
-      return 2;
-    }
-    dconfig.idle_timeout_s = *s;
-  }
-  if (const auto quota = args.get("per-client")) {
-    const auto n = parse_int(*quota);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "serve: --per-client wants a positive integer\n");
-      return 2;
-    }
-    dconfig.dispatch.per_client_pending = *n;
-  }
-  if (const auto depth = args.get("max-pending")) {
-    const auto n = parse_int(*depth);
-    if (!n || *n < 1) {
-      std::fprintf(stderr, "serve: --max-pending wants a positive integer\n");
-      return 2;
-    }
-    dconfig.dispatch.max_pending = *n;
-  }
+  if (!int_flag(args, "serve", "port", 0, &dconfig.tcp_port, 65535) ||
+      !seconds_flag(args, "serve", "idle-timeout", &dconfig.idle_timeout_s) ||
+      !int_flag(args, "serve", "per-client", 1, &dconfig.dispatch.per_client_pending) ||
+      !int_flag(args, "serve", "max-pending", 1, &dconfig.dispatch.max_pending))
+    return 2;
+  // Port 0 is ephemeral; a socket alone means unix only.
+  if (!args.get("port") && !dconfig.unix_path.empty()) dconfig.tcp_port = -1;
 
   std::unique_ptr<session::SessionStore> store;
   std::unique_ptr<session::RouterSession> bare;
@@ -753,23 +664,10 @@ int cmd_send(const Args& args) {
     return 2;
   }
   double wait_s = 0.0;
-  if (const auto wait = args.get("wait")) {
-    const auto s = parse_seconds(*wait);
-    if (!s) {
-      std::fprintf(stderr, "send: --wait wants a positive number (seconds)\n");
-      return 2;
-    }
-    wait_s = *s;
-  }
   int port = 0;
-  if (port_s) {
-    const auto n = parse_int(*port_s);
-    if (!n || *n < 1 || *n > 65535) {
-      std::fprintf(stderr, "send: --port wants 1..65535\n");
-      return 2;
-    }
-    port = *n;
-  }
+  if (!seconds_flag(args, "send", "wait", &wait_s) ||
+      !int_flag(args, "send", "port", 1, &port, 65535))
+    return 2;
 
   server::Client client = sock ? server::Client::connect_unix(*sock, wait_s)
                                : server::Client::connect_tcp(port, wait_s);
@@ -829,34 +727,8 @@ int cmd_send(const Args& args) {
   return worst;
 }
 
-}  // namespace
-
-int run(const std::vector<std::string>& argv) {
-  const Args args = Args::parse(argv);
-  try {
-    if (args.command == "list-cases") return cmd_list_cases();
-    if (args.command == "suite") return cmd_suite(args);
-    if (args.command == "generate") return cmd_generate(args);
-    if (args.command == "route") return cmd_route(args);
-    if (args.command == "eval") return cmd_eval(args);
-    if (args.command == "verify") return cmd_verify(args);
-    if (args.command == "refine") return cmd_refine(args);
-    if (args.command == "report") return cmd_report(args);
-    if (args.command == "session") return cmd_session(args);
-    if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "send") return cmd_send(args);
-  } catch (const io::ParseError& e) {
-    // Malformed input gets its own exit code so scripts (and the fuzzer's
-    // parse-robustness oracle) can tell "bad file" from "router broke".
-    std::fprintf(stderr, "parse error: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  } catch (...) {
-    std::fprintf(stderr, "error: unknown exception\n");
-    return 1;
-  }
+/// Print the usage text; returns the usage exit code.
+int usage() {
   std::fprintf(stderr,
                "usage: mrtpl_cli "
                "<list-cases|suite|generate|route|eval|verify|refine|report"
@@ -893,6 +765,62 @@ int run(const std::vector<std::string>& argv) {
                "           Drive a running daemon; exit codes match\n"
                "           `session --script` (a shed edit exits 4).\n");
   return 2;
+}
+
+/// One subcommand: its handler and the flags it reads (space-separated;
+/// valued flags take a value, boolean flags never do).
+struct Command {
+  int (*handler)(const Args&);
+  std::string valued, boolean;
+};
+
+}  // namespace
+
+int run(const std::vector<std::string>& argv) {
+  // `session` and `serve` share the SessionConfig and backend flags.
+  static const std::string session_flags =
+      "design store snapshot-every deadline degrade-relax latency-watermark "
+      "max-queue";
+  static const std::map<std::string, Command> commands = {
+      {"list-cases", {cmd_list_cases, "", ""}},
+      {"suite", {cmd_suite, "filter json threads tiles timeout", "quick list"}},
+      {"generate", {cmd_generate, "case out", ""}},
+      {"route", {cmd_route,
+                 "design router solution svg rrr threads tiles deadline max-relax",
+                 "no-guides"}},
+      {"eval", {cmd_eval, "design solution", ""}},
+      {"verify", {cmd_verify, "design solution", "no-color-check"}},
+      {"refine", {cmd_refine, "design solution out", ""}},
+      {"report", {cmd_report, "design solution flow", ""}},
+      {"session", {cmd_session, session_flags + " script out",
+                   "recover no-guides audit"}},
+      {"serve", {cmd_serve,
+                 session_flags + " socket port idle-timeout per-client max-pending",
+                 "recover no-guides"}},
+      {"send", {cmd_send, "socket port wait name script edit ping", "drain bye"}},
+  };
+  const auto it = argv.empty() ? commands.end() : commands.find(argv[0]);
+  if (it == commands.end()) return usage();
+  const Command& command = it->second;
+  const Args args = Args::parse(argv, command.valued, command.boolean);
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0].c_str(), args.error.c_str());
+    return 2;
+  }
+  try {
+    return command.handler(args);
+  } catch (const io::ParseError& e) {
+    // Malformed input gets its own exit code so scripts (and the fuzzer's
+    // parse-robustness oracle) can tell "bad file" from "router broke".
+    std::fprintf(stderr, "parse error: %s\n", e.what());
+    return 3;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (...) {
+    std::fprintf(stderr, "error: unknown exception\n");
+    return 1;
+  }
 }
 
 int run(int argc, char** argv) {
