@@ -89,7 +89,7 @@ int main() {
 
     table.add_row(
         {std::to_string(edge) + "x" + std::to_string(edge),
-         std::to_string(spec.num_nets), util::fixed(base.runtime_s, 2),
+         std::to_string(ctx.design.num_nets()), util::fixed(base.runtime_s, 2),
          util::fixed(ours.runtime_s, 2), util::fixed(shard.runtime_s, 2),
          ours.runtime_s > 0
              ? util::fixed(base.runtime_s / ours.runtime_s, 2) + "x"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <optional>
 
@@ -20,21 +21,27 @@ MrTplRouter::MrTplRouter(const db::Design& design, const global::GuideSet* guide
     : design_(design), guides_(guides), config_(config) {}
 
 std::vector<db::NetId> MrTplRouter::net_order() const {
-  std::vector<db::NetId> order;
-  order.reserve(static_cast<size_t>(design_.num_nets()));
+  // Each net's key is computed once: the comparator of a sort runs
+  // O(n log n) times, and Net::bbox() walks every pin shape.
+  struct Keyed {
+    int key;
+    db::NetId id;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(static_cast<size_t>(design_.num_nets()));
   // Dead nets (zero pins — ECO tombstones) own no metal and are never
   // routed; run() marks their solution entries trivially routed instead.
-  for (db::NetId id = 0; id < design_.num_nets(); ++id)
-    if (design_.net(id).degree() > 0) order.push_back(id);
-  std::stable_sort(order.begin(), order.end(), [&](db::NetId a, db::NetId b) {
-    const auto& na = design_.net(a);
-    const auto& nb = design_.net(b);
-    const auto ba = na.bbox();
-    const auto bb = nb.bbox();
-    const int ha = ba.width() + ba.height() + 4 * na.degree();
-    const int hb = bb.width() + bb.height() + 4 * nb.degree();
-    return ha < hb;
-  });
+  for (db::NetId id = 0; id < design_.num_nets(); ++id) {
+    const db::Net& net = design_.net(id);
+    if (net.degree() == 0) continue;
+    const geom::Rect box = net.bbox();
+    keyed.push_back({box.width() + box.height() + 4 * net.degree(), id});
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+  std::vector<db::NetId> order;
+  order.reserve(keyed.size());
+  for (const Keyed& k : keyed) order.push_back(k.id);
   return order;
 }
 
@@ -269,20 +276,12 @@ grid::NetRoute MrTplRouter::route_net(grid::RoutingGrid& grid, ColorSearch& sear
                                       db::NetId net_id) {
   RouteOutcome outcome = compute_route(grid, search, net_id);
   apply_outcome(grid, outcome);
-  set_last_colors(std::move(outcome.colors));
   return std::move(outcome.route);
 }
 
 void MrTplRouter::apply_outcome(grid::RoutingGrid& grid, const RouteOutcome& outcome) {
   for (const auto& [v, m] : outcome.colors) grid.commit(v, outcome.route.net, m);
   stats_.relaxations += outcome.relaxations;
-}
-
-void MrTplRouter::set_last_colors(
-    std::vector<std::pair<grid::VertexId, grid::Mask>> colors) {
-  last_colors_ = std::move(colors);
-  if (config_.enable_coloring)
-    std::sort(last_colors_.begin(), last_colors_.end());
 }
 
 void MrTplRouter::choose_colors(
@@ -469,8 +468,6 @@ void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
     tile_outcomes = route_tiles(grid, *workers, nets, tile_of);
     hazard_idx.emplace(design_.die(), 32);
   }
-  std::vector<std::pair<grid::VertexId, grid::Mask>> last_colors;
-  bool applied = false;
   for (size_t k = 0; k < nets.size(); ++k) {
     // Budget skip: once the budget expires mid-pass, the remaining nets are
     // marked kSkipped without committing anything. The decision reads the
@@ -518,11 +515,8 @@ void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
     if (hazard)
       if (const geom::Rect box = commit_bbox(grid, outcome.colors); box.valid())
         hazard_idx->insert(static_cast<std::uint32_t>(k), box);
-    last_colors = std::move(outcome.colors);
-    applied = true;
     solution.routes[static_cast<size_t>(nets[k])] = std::move(outcome.route);
   }
-  if (applied) set_last_colors(std::move(last_colors));
   stats_.route_batches += 1;
   stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
   stats_.reroute_s += timer.elapsed_s();
@@ -564,10 +558,11 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
   }
 
   grid::Solution solution;
-  std::vector<db::NetId> work = net_order();
+  const std::vector<db::NetId> order = net_order();
+  const bool resume = checkpoint != nullptr && checkpoint->valid;
   int start_iter = 0;
   LayoutSnapshot best;
-  if (checkpoint != nullptr && checkpoint->valid) {
+  if (resume) {
     // Resume: replay the checkpoint into the fresh grid instead of the
     // initial pass. commit_route rebuilds owners/masks/congestion counts;
     // history is restored directly; the conflict index absorbs the
@@ -588,10 +583,11 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
       best.score = checkpoint->best_score;
     }
     start_iter = checkpoint->iteration;
-    work.clear();
   }
-  rip_and_reroute(grid, index, workers.pool ? &workers : nullptr, work, start_iter,
-                  std::move(best), solution, checkpoint);
+  const std::vector<db::NetId> none;  // a resume has no initial pass
+  rip_and_reroute(grid, index, workers.pool ? &workers : nullptr, order,
+                  resume ? none : order, start_iter, std::move(best), solution,
+                  checkpoint);
 
   if (solution.degraded())
     util::warn("mrtpl",
@@ -620,17 +616,20 @@ grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
   for (const db::NetId id : dirty)
     if (id >= 0 && id < design_.num_nets() && design_.net(id).degree() > 0)
       is_dirty[static_cast<size_t>(id)] = 1;
+  const std::vector<db::NetId> order = net_order();
   std::vector<db::NetId> work;
-  for (const db::NetId id : net_order())
+  for (const db::NetId id : order)
     if (is_dirty[static_cast<size_t>(id)]) work.push_back(id);
 
-  rip_and_reroute(grid, index, nullptr, work, 0, LayoutSnapshot{}, solution, nullptr);
+  rip_and_reroute(grid, index, nullptr, order, work, 0, LayoutSnapshot{}, solution,
+                  nullptr);
   stats_.runtime_s = timer.elapsed_s();
   return solution.status;
 }
 
 void MrTplRouter::rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
                                   Workers* workers,
+                                  const std::vector<db::NetId>& order,
                                   const std::vector<db::NetId>& work,
                                   int start_iter, LayoutSnapshot best,
                                   grid::Solution& solution,
@@ -649,9 +648,12 @@ void MrTplRouter::rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
     r.disposition = grid::NetDisposition::kRouted;
   }
 
-  ColorSearch search(grid, config_);
+  // The serial search runs on the router's own arena, kept across calls:
+  // a resident session would otherwise allocate (and page in) a die-sized
+  // arena on every edit.
+  if (!arena_) arena_ = std::make_unique<SearchArena>();
+  ColorSearch search(grid, config_, *arena_);
   if (budget_.active()) search.set_budget(&budget_);
-  const auto order = net_order();
 
   auto detect = [&] {
     util::Timer t;
@@ -659,12 +661,41 @@ void MrTplRouter::rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
     stats_.detect_s += t.elapsed_s();
     return conflicts;
   };
-  auto current_score = [&](const std::vector<Conflict>& conflicts) {
+  auto current_score = [&](int conflicts) {
     int failed = 0;
     for (const auto& r : solution.routes)
       if (!r.routed && r.net != db::kNoNet) ++failed;
-    return iterate_score(static_cast<int>(conflicts.size()),
-                         grid::count_stitches(grid, solution), failed);
+    return iterate_score(conflicts, grid::count_stitches(grid, solution), failed);
+  };
+
+  // Keep-best, lazily: copying the layout on every improvement (and
+  // restoring it at the end) costs O(layout) even when the best iterate is
+  // simply the last one, which is what an ECO apply almost always ends on.
+  // `live_best` marks the live layout itself as the best iterate. It is
+  // copied into `best` only just before a rip changes it — the state at
+  // that point is the one that was scored — and its score, skipped when it
+  // won against an empty `best`, is computed there.
+  bool live_best = false;
+  std::optional<double> live_score;
+  int live_conflicts = 0;
+  bool scored = false;  // live layout unchanged since its last offer()
+  auto offer = [&](const std::vector<Conflict>& conflicts) {
+    scored = true;
+    live_conflicts = static_cast<int>(conflicts.size());
+    if (std::isinf(best.score)) {  // anything beats an empty best
+      live_best = true;
+      live_score.reset();
+    } else if (const double score = current_score(live_conflicts); score < best.score) {
+      live_best = true;
+      live_score = score;
+    }
+  };
+  auto before_rip = [&] {
+    scored = false;
+    if (!live_best) return;
+    if (!live_score) live_score = current_score(live_conflicts);
+    best = LayoutSnapshot::capture(grid, solution, *live_score);
+    live_best = false;
   };
 
   // Clean-boundary checkpointing. A boundary is captured only while the
@@ -677,6 +708,7 @@ void MrTplRouter::rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
   bool have_pending = false;
   auto capture_boundary = [&](int next_iter) {
     if (checkpoint == nullptr || budget_.tripped()) return;
+    assert(!live_best && "a boundary follows a rip, which materializes best");
     LayoutSnapshot now = LayoutSnapshot::capture(grid, solution, 0.0);
     pending.valid = true;
     pending.iteration = next_iter;
@@ -708,8 +740,7 @@ void MrTplRouter::rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
     if (budget_.active() && budget_.expired(stats_.relaxations)) break;
     const auto conflicts = detect();
     stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    if (const double score = current_score(conflicts); score < best.score)
-      best = LayoutSnapshot::capture(grid, solution, score);
+    offer(conflicts);
     std::vector<db::NetId> failed;
     for (const auto& r : solution.routes)
       if (!r.routed && r.net != db::kNoNet) failed.push_back(r.net);
@@ -755,6 +786,7 @@ void MrTplRouter::rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
     for (const db::NetId id : order)
       if (rip[static_cast<size_t>(id)] == 1) ripped.push_back(id);
     if (ripped.empty()) break;
+    before_rip();
     for (const db::NetId id : ripped)
       grid::release_route(grid, solution.routes[static_cast<size_t>(id)]);
     route_list(grid, search, workers, ripped, solution);
@@ -768,17 +800,17 @@ void MrTplRouter::rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
         extra_margin_[static_cast<size_t>(id)] = 0;
     capture_boundary(iter + 1);
   }
-  // Score the state the loop ended on (the per-iteration scoring above
-  // sees each state *before* its reroute, so the last reroute's result is
-  // still unscored), then keep whichever iterate was best.
+  // Score the state the loop ended on unless the loop already did (the
+  // per-iteration scoring above sees each state *before* its reroute, so a
+  // last reroute's result is still unscored), then keep whichever iterate
+  // was best — restoring only when that is an earlier one.
   {
     const auto conflicts = detect();
     if (static_cast<int>(stats_.conflicts_per_iter.size()) == config_.max_rrr_iterations)
       stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    if (const double score = current_score(conflicts); score < best.score)
-      best = LayoutSnapshot::capture(grid, solution, score);
+    if (!scored) offer(conflicts);
   }
-  if (!best.masks.empty()) {
+  if (!live_best && !best.masks.empty()) {
     best.restore(grid, solution);
     // Copy-assign, not move: the copy reuses the caller's buffers, while
     // adopting the snapshot's fresh ones fragments a resident session's

@@ -120,14 +120,6 @@ class MrTplRouter {
   grid::NetRoute route_net(grid::RoutingGrid& grid, ColorSearch& search,
                            db::NetId net_id);
 
-  /// Per-vertex committed masks of the last net routed into the grid (by
-  /// `route_net` or a routing pass), for callers that need the color of
-  /// each path vertex.
-  [[nodiscard]] const std::vector<std::pair<grid::VertexId, grid::Mask>>&
-  last_colors() const {
-    return last_colors_;
-  }
-
   /// Current widened-window margin of a net beyond config.search_margin.
   /// Zero after any successful route (the widening is an escape valve for
   /// one failure episode, not a permanent enlargement); exposed so tests
@@ -209,9 +201,6 @@ class MrTplRouter {
   /// Commit an outcome's colors and fold its counters into stats_.
   void apply_outcome(grid::RoutingGrid& grid, const RouteOutcome& outcome);
 
-  /// Set the last_colors() accessor (sorted when coloring is enabled).
-  void set_last_colors(std::vector<std::pair<grid::VertexId, grid::Mask>> colors);
-
   /// Reset a solution entry to the kSkipped marker of a budget stop.
   static void mark_skipped(grid::Solution& solution, db::NetId id);
 
@@ -250,22 +239,28 @@ class MrTplRouter {
   /// The Fig. 2 rip-up-and-reroute driver behind both run() and reroute():
   /// normalizes dead nets, routes `work` once, then detects conflicts
   /// (through `index`), scores and keeps the best iterate, adds history,
-  /// rips, widens the windows of failed nets and reroutes — from
-  /// iteration `start_iter` with `best` as the best iterate so far — until
-  /// clean or max_rrr_iterations. Finally restores the best iterate and
-  /// sets the degraded status. `workers` null routes serially. With
-  /// `checkpoint` non-null the last clean iteration boundary is written
-  /// back into it on a budget stop (valid=false otherwise).
+  /// rips (ripped nets reroute in `order`, the caller's net_order()),
+  /// widens the windows of failed nets and reroutes — from iteration
+  /// `start_iter` with `best` as the best iterate so far — until clean or
+  /// max_rrr_iterations. Finally restores the best iterate when it is an
+  /// earlier one and sets the degraded status. `workers` null routes
+  /// serially. With `checkpoint` non-null the last clean iteration
+  /// boundary is written back into it on a budget stop (valid=false
+  /// otherwise).
   void rip_and_reroute(grid::RoutingGrid& grid, ConflictIndex& index,
-                       Workers* workers, const std::vector<db::NetId>& work,
-                       int start_iter, LayoutSnapshot best,
-                       grid::Solution& solution, RouterCheckpoint* checkpoint);
+                       Workers* workers, const std::vector<db::NetId>& order,
+                       const std::vector<db::NetId>& work, int start_iter,
+                       LayoutSnapshot best, grid::Solution& solution,
+                       RouterCheckpoint* checkpoint);
 
   const db::Design& design_;
   const global::GuideSet* guides_;
   RouterConfig config_;
   RouterStats stats_;
-  std::vector<std::pair<grid::VertexId, grid::Mask>> last_colors_;
+
+  /// Arena of the serial ColorSearch, created on first use and reused by
+  /// every later run()/reroute() of this router.
+  std::unique_ptr<SearchArena> arena_;
 
   /// Armed budget of the current run (inactive when run(grid) was called
   /// without one). route_list consults it at per-net commit points; the

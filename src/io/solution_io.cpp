@@ -1,5 +1,6 @@
 #include "io/solution_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -56,40 +57,70 @@ int to_int(const Cursor& c, const std::string& tok) {
   }
 }
 
+/// Append the decimal digits of `v` — the same text `ostream << v` gives
+/// under default flags, without the stream's per-call locale machinery.
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+/// Append " <layer> <x> <y>" of `v`.
+void append_loc(std::string& out, const grid::RoutingGrid& grid, grid::VertexId v) {
+  const grid::VertexLoc l = grid.loc(v);
+  out += ' ';
+  append_int(out, l.layer);
+  out += ' ';
+  append_int(out, l.x);
+  out += ' ';
+  append_int(out, l.y);
+}
+
 }  // namespace
 
 void write_solution(std::ostream& os, const grid::RoutingGrid& grid,
                     const grid::Solution& solution) {
-  os << "mrtpl-solution 1\n";
-  for (const auto& route : solution.routes) {
-    if (route.net == db::kNoNet && route.empty()) continue;
-    os << "route " << route.net << ' ' << (route.routed ? 1 : 0) << ' '
-       << route.paths.size() << "\n";
-    for (const auto& path : route.paths) {
-      os << "path " << path.size();
-      for (const auto v : path) {
-        const grid::VertexLoc l = grid.loc(v);
-        os << ' ' << l.layer << ' ' << l.x << ' ' << l.y;
-      }
-      os << "\n";
-    }
-    const auto verts = route.vertices();
-    os << "masks " << verts.size();
-    for (const auto v : verts) {
-      const grid::VertexLoc l = grid.loc(v);
-      os << ' ' << l.layer << ' ' << l.x << ' ' << l.y << ' '
-         << static_cast<int>(grid.mask(v));
-    }
-    os << "\n";
-  }
-  os << "end\n";
+  os << solution_to_string(grid, solution);
 }
 
 std::string solution_to_string(const grid::RoutingGrid& grid,
                                const grid::Solution& solution) {
-  std::ostringstream ss;
-  write_solution(ss, grid, solution);
-  return ss.str();
+  // One buffer, reserved up front: a path vertex takes about 12 bytes and
+  // its masks entry about 14 (the +2 per path covers the line headers), so
+  // a large layout is appended without regrowing.
+  std::size_t path_vertices = 0;
+  for (const auto& route : solution.routes)
+    for (const auto& path : route.paths) path_vertices += path.size() + 2;
+  std::string out;
+  out.reserve(26 * path_vertices + 32 * solution.routes.size() + 32);
+
+  out += "mrtpl-solution 1\n";
+  for (const auto& route : solution.routes) {
+    if (route.net == db::kNoNet && route.empty()) continue;
+    out += "route ";
+    append_int(out, route.net);
+    out += route.routed ? " 1 " : " 0 ";
+    append_int(out, route.paths.size());
+    out += '\n';
+    for (const auto& path : route.paths) {
+      out += "path ";
+      append_int(out, path.size());
+      for (const auto v : path) append_loc(out, grid, v);
+      out += '\n';
+    }
+    const auto verts = route.vertices();
+    out += "masks ";
+    append_int(out, verts.size());
+    for (const auto v : verts) {
+      append_loc(out, grid, v);
+      out += ' ';
+      append_int(out, static_cast<int>(grid.mask(v)));
+    }
+    out += '\n';
+  }
+  out += "end\n";
+  return out;
 }
 
 std::uint64_t fnv1a(const std::string& text) {

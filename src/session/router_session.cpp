@@ -1,6 +1,7 @@
 #include "session/router_session.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "io/design_io.hpp"
 #include "io/solution_io.hpp"
@@ -32,13 +33,13 @@ RouterSession::RouterSession(const db::Design& design, SessionConfig config,
       config_(config),
       clock_(config.clock ? config.clock : util::monotonic_seconds),
       guides_(guides != nullptr ? *guides : global::GuideSet{}),
-      has_guides_(guides != nullptr) {
+      has_guides_(guides != nullptr),
+      router_(design_, this->guides(), config_.router) {
   grid_ = std::make_unique<grid::RoutingGrid>(design_);
-  core::MrTplRouter router(design_, this->guides(), config_.router);
   core::RouteBudget budget;
   if (config_.initial_deadline_s > 0) budget.deadline_s = config_.initial_deadline_s;
-  solution_ = router.run(*grid_, budget);
-  initial_stats_ = router.stats();
+  solution_ = router_.run(*grid_, budget);
+  initial_stats_ = router_.stats();
   index_ = std::make_unique<core::ConflictIndex>(*grid_);
 }
 
@@ -49,7 +50,8 @@ RouterSession::RouterSession(const db::Design& design, SessionConfig config,
       config_(config),
       clock_(config.clock ? config.clock : util::monotonic_seconds),
       guides_(guides != nullptr ? *guides : global::GuideSet{}),
-      has_guides_(guides != nullptr) {
+      has_guides_(guides != nullptr),
+      router_(design_, this->guides(), config_.router) {
   grid_ = std::make_unique<grid::RoutingGrid>(design_);
   solution_ = io::solution_from_string(solution_text, *grid_);
   normalize_dispositions();
@@ -123,10 +125,17 @@ EditResponse RouterSession::apply_edit(const Edit& edit,
     return resp;
   }
 
-  // Rollback point: the canonical serializations ARE the transaction
-  // snapshot, so rollback exercises the same restore path recovery uses.
-  db::Design saved_design = design_;
-  std::string saved_solution = solution_text();
+  // Rollback point, taken only when a rollback can happen: a tripped wall
+  // deadline is the one way an accepted edit is undone. The canonical
+  // serializations ARE the transaction snapshot, so rollback exercises the
+  // same restore path recovery uses. Without a deadline the apply copies
+  // nothing and costs its delta.
+  std::optional<db::Design> saved_design;
+  std::string saved_solution;
+  if (deadline_s > 0) {
+    saved_design = design_;
+    saved_solution = solution_text();
+  }
 
   std::vector<db::NetId> dirty;
   std::vector<Region> regions;
@@ -149,14 +158,13 @@ EditResponse RouterSession::apply_edit(const Edit& edit,
   else
     budget.max_relaxations = max_relaxations;
 
-  core::MrTplRouter router(design_, guides(), config_.router);
   const grid::SolutionStatus status =
-      router.reroute(*grid_, *index_, dirty, solution_, budget);
+      router_.reroute(*grid_, *index_, dirty, solution_, budget);
 
   if (status == grid::SolutionStatus::kDegraded && deadline_s > 0) {
     // A wall deadline is non-deterministic; a tripped one rolls the whole
     // transaction back so only replayable state ever commits.
-    rebuild_from(std::move(saved_design), saved_solution);
+    rebuild_from(std::move(*saved_design), saved_solution);
     resp.status = EditStatus::kDeadline;
     resp.note = "deadline tripped; edit rolled back";
     resp.apply_s = clock_() - t0;

@@ -62,7 +62,10 @@ struct SessionConfig {
   util::ClockFn clock;
 
   /// Per-edit wall-clock deadline; <= 0 disables. A tripped deadline
-  /// rolls the edit back (status kDeadline) — nothing is journaled.
+  /// rolls the edit back (status kDeadline) — nothing is journaled. With
+  /// a deadline set, every apply first copies the design and serializes
+  /// the solution as its rollback point: an O(layout) cost that applies
+  /// without a deadline do not pay.
   double deadline_s = 0.0;
 
   /// Wall-clock deadline for the fresh-session initial route; <= 0
@@ -215,6 +218,10 @@ class RouterSession {
   util::ClockFn clock_;
   global::GuideSet guides_;
   bool has_guides_ = false;
+  /// One router for the session's lifetime (initial route and every
+  /// apply), so its search arena is allocated once, not per edit. Declared
+  /// after design_ and guides_, which it references.
+  core::MrTplRouter router_;
   std::unique_ptr<grid::RoutingGrid> grid_;
   std::unique_ptr<core::ConflictIndex> index_;
   grid::Solution solution_;

@@ -60,6 +60,24 @@ TEST(CliSmoke, UsageAndUnknownCommand) {
   EXPECT_EQ(cli::run({"send", "--socket", "none.sock", "--no-guides"}), 2);
   // A boolean flag never takes a value: the word after it is not eaten.
   EXPECT_EQ(cli::run({"route", "--no-guides", "--design", design}), 0);
+
+  // A word that no flag consumes is a usage error naming the word: a
+  // stray positional, a word after a boolean flag, or the tail of an
+  // unquoted multi-word --edit (which would otherwise send only its head).
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli::run({"route", "--design", design, "stray"}), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("'stray'"),
+            std::string::npos);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli::run({"route", "--design", design, "--no-guides", "extra.sol"}), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("'extra.sol'"),
+            std::string::npos);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli::run({"send", "--socket", "none.sock", "--edit", "add_blockage",
+                      "0", "5", "5", "6", "6"}),
+            2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("'0'"), std::string::npos);
+  EXPECT_EQ(cli::run({"list-cases", "tiny"}), 2);
 }
 
 TEST(CliSmoke, GenerateRouteEvalVerifyRoundTrip) {

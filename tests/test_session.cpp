@@ -2,12 +2,15 @@
 /// Resident routing sessions (session/router_session.hpp + edit.hpp):
 /// edit grammar round-trips, transactional apply/reject/rollback
 /// semantics, admission control (shed + latency-degrade), dead-net
-/// tombstones, and the replay-determinism property the journal recovery
-/// contract rests on.
+/// tombstones, the delta-only cost of an apply, and the
+/// replay-determinism property the journal recovery contract rests on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/parse_error.hpp"
@@ -360,6 +363,97 @@ TEST(RouterSession, ManualClockDecaysTheEwmaBackBelowTheWatermark) {
   (void)session.submit(add_net_edit("f", 0, 1, 2, 13));
   EXPECT_DOUBLE_EQ(session.latency_ewma(), 0.32768);
   EXPECT_FALSE(session.degrade_mode());
+  EXPECT_TRUE(audit_session(session).ok);
+}
+
+// ---- apply cost ---------------------------------------------------------
+
+/// 40x40, 2 layers, `count` 2-pin nets on layer 0, five tracks apart: far
+/// enough that a detour of one net around a blockage stays more than
+/// dcolor from its neighbours, so no RRR round rips anything else and an
+/// edit's delta is exactly the dirty net's old and new metal.
+db::Design spaced_nets_design(int count) {
+  db::Design d("s", db::Tech::make_default(2, 2), {0, 0, 39, 39});
+  for (int i = 0; i < count; ++i) {
+    const db::NetId n = d.add_net("n" + std::to_string(i));
+    db::Pin p;
+    p.layer = 0;
+    p.shapes = {{2, 2 + 5 * i, 2, 2 + 5 * i}};
+    d.add_pin(n, p);
+    p.shapes = {{37, 2 + 5 * i, 37, 2 + 5 * i}};
+    d.add_pin(n, p);
+  }
+  d.validate();
+  return d;
+}
+
+using NetMetal = std::vector<std::pair<grid::VertexId, grid::Mask>>;
+
+/// Every net's committed (vertex, mask) list.
+std::vector<NetMetal> committed_metal(const RouterSession& session) {
+  std::vector<NetMetal> out;
+  for (const auto& route : session.solution().routes) {
+    NetMetal metal;
+    for (const grid::VertexId v : route.vertices())
+      metal.emplace_back(v, session.grid().mask(v));
+    out.push_back(std::move(metal));
+  }
+  return out;
+}
+
+/// Vertices an apply may have released, committed or re-rasterized: the
+/// old and the new metal of every net whose metal changed, plus the
+/// `rerasterized` vertices of the edited region.
+std::uint64_t delta_vertices(const std::vector<NetMetal>& before,
+                             const std::vector<NetMetal>& after,
+                             std::uint64_t rerasterized) {
+  std::uint64_t n = rerasterized;
+  for (std::size_t i = 0; i < std::max(before.size(), after.size()); ++i) {
+    const NetMetal none;
+    const NetMetal& b = i < before.size() ? before[i] : none;
+    const NetMetal& a = i < after.size() ? after[i] : none;
+    if (a != b) n += a.size() + b.size();
+  }
+  return n;
+}
+
+TEST(RouterSession, ApplyRefreshesConflictsOverTheDeltaOnly) {
+  // The cost contract of an apply, in deterministic counters: the conflict
+  // index processes only the vertices the edit changed, never the whole
+  // layout (a keep-best restore or a full rescan would touch all of it).
+  RouterSession session(spaced_nets_design(8), quiet_config());
+  ASSERT_EQ(session.solution().num_routed(), 8);
+  const std::vector<grid::VertexId> wire = session.solution().routes[3].vertices();
+  ASSERT_FALSE(wire.empty());
+  const grid::VertexId v = wire[wire.size() / 2];
+  ASSERT_FALSE(session.grid().is_pin_vertex(v));
+  const grid::VertexLoc loc = session.grid().loc(v);
+
+  Edit e;
+  e.kind = EditKind::kAddBlockage;
+  e.layer = loc.layer;
+  e.rect = {loc.x, loc.y, loc.x, loc.y};  // on net 3's wire
+  std::vector<NetMetal> before = committed_metal(session);
+  const std::uint64_t p0 = session.conflict_index().vertices_processed();
+  const EditResponse dropped = session.submit(e);
+  ASSERT_EQ(dropped.status, EditStatus::kApplied);
+  ASSERT_EQ(dropped.dirty_nets, 1);
+  std::vector<NetMetal> after = committed_metal(session);
+  const std::uint64_t p1 = session.conflict_index().vertices_processed();
+  EXPECT_GT(p1, p0);  // the released and rerouted wire was refreshed
+  EXPECT_LE(p1 - p0, delta_vertices(before, after, 1));
+
+  // Lifting the blockage dirties no net: only the one re-rasterized
+  // vertex may be refreshed.
+  e.kind = EditKind::kRemoveBlockage;
+  before = std::move(after);
+  const EditResponse lifted = session.submit(e);
+  ASSERT_EQ(lifted.status, EditStatus::kApplied);
+  ASSERT_EQ(lifted.dirty_nets, 0);
+  after = committed_metal(session);
+  EXPECT_EQ(after, before);
+  const std::uint64_t p2 = session.conflict_index().vertices_processed();
+  EXPECT_LE(p2 - p1, delta_vertices(before, after, 1));
   EXPECT_TRUE(audit_session(session).ok);
 }
 

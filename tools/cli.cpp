@@ -106,8 +106,10 @@ namespace {
 
 /// --flag/value option parser against one subcommand's flag lists
 /// (argv[0], the subcommand, is skipped). A valued flag takes the next
-/// word as its value, a boolean flag never does; any other --word, or a
-/// valued flag with no value after it, is recorded in `error`.
+/// word as its value, a boolean flag never does; any other --word, a
+/// valued flag with no value after it, or a word that no flag consumes
+/// (a stray positional, or the tail of an unquoted multi-word value) is
+/// recorded in `error`.
 struct Args {
   std::map<std::string, std::string> options;
   std::set<std::string> flags;
@@ -122,7 +124,10 @@ struct Args {
     };
     Args args;
     for (size_t i = 1; i < argv.size() && args.error.empty(); ++i) {
-      if (argv[i].rfind("--", 0) != 0) continue;
+      if (argv[i].rfind("--", 0) != 0) {
+        args.error = "unexpected argument '" + argv[i] + "'";
+        break;
+      }
       const std::string flag = argv[i].substr(2);
       if (lists(boolean, flag)) {
         args.flags.insert(flag);
