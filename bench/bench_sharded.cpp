@@ -9,7 +9,8 @@
 ///   {"bench":"sharded","scenario":"production_grid_10k","die":768,
 ///    "nets":10000,"tiles":16,"grid_dim":4,"threads":8,"gen_s":..,
 ///    "gr_s":..,"route_s":..,"total_s":..,"peak_rss_mb":..,
-///    "speculated":..,"respeculated":..,"conflicts":0,"failed":0,
+///    "walk_wait_s":..,"speculated":..,"respeculated":..,"conflicts":0,
+///    "failed":0,
 ///    "wirelength":..,"hash":"f00..."}
 ///
 /// Two modes:
@@ -88,12 +89,14 @@ void emit_json(const std::string& scenario, const mrtpl::db::Design& design,
       "{\"bench\":\"sharded\",\"scenario\":\"%s\",\"die\":%d,\"nets\":%d,"
       "\"tiles\":%d,\"grid_dim\":%d,\"threads\":%d,\"gen_s\":%.3f,"
       "\"gr_s\":%.3f,\"route_s\":%.3f,\"total_s\":%.3f,"
-      "\"peak_rss_mb\":%.1f,\"speculated\":%d,\"respeculated\":%d,"
+      "\"peak_rss_mb\":%.1f,\"walk_wait_s\":%.3f,\"speculated\":%d,"
+      "\"respeculated\":%d,"
       "\"conflicts\":%d,\"failed\":%d,\"wirelength\":%lld,"
       "\"hash\":\"%016" PRIx64 "\"}\n",
       scenario.c_str(), design.die().width(), design.num_nets(), tiles,
       r.grid_dim, threads, gen_s, gr_s, r.route_s, gen_s + gr_s + r.total_s,
-      mrtpl::util::peak_rss_mb(), r.stats.speculated, r.stats.respeculated,
+      mrtpl::util::peak_rss_mb(), r.stats.walk_wait_s, r.stats.speculated,
+      r.stats.respeculated,
       r.metrics.conflicts, r.metrics.failed_nets,
       static_cast<long long>(r.metrics.wirelength), r.hash);
   std::fflush(stdout);

@@ -442,16 +442,6 @@ geom::Rect commit_bbox(const grid::RoutingGrid& grid,
 
 }  // namespace
 
-/// The commit walk. In a tiled pass an interior outcome is stale only if a
-/// commit its tile view COULD NOT have seen landed inside its read
-/// footprint. Those commits — the hazards — are boundary nets (routed here,
-/// after the views were cut) and redos that diverged from their
-/// speculation, whose speculative metal later same-tile views did see.
-/// Interior commits of other tiles cannot overlap its reads (reads ⊆
-/// window ⊕ halo ⊆ own tile by the ownership rule), and same-tile
-/// predecessors applied as-speculated are exactly what its view held.
-/// Hazard boxes live in a geom::SpatialGrid, so validation costs
-/// O(window) per net rather than an O(n) commit-log scan.
 void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
                              Workers* workers, const std::vector<db::NetId>& nets,
                              grid::Solution& solution) {
@@ -459,33 +449,60 @@ void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
   util::Timer timer;
   const std::uint64_t pass_relax_base = stats_.relaxations;
   // A pass whose budget already expired skips every net; it needs no tiles.
-  const bool tiled = workers != nullptr && nets.size() > 1 &&
-                     !(budget_.active() && budget_.expired(stats_.relaxations));
-  std::vector<int> tile_of;
-  std::vector<RouteOutcome> tile_outcomes;
+  if (workers != nullptr && nets.size() > 1 &&
+      !(budget_.active() && budget_.expired(stats_.relaxations)))
+    route_tiles(grid, search, *workers, nets, solution);
+  else
+    commit_walk(grid, search, nullptr, nets, solution);
+  stats_.route_batches += 1;
+  stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
+  stats_.reroute_s += timer.elapsed_s();
+}
+
+/// In a tiled pass an interior outcome is stale only if a commit its tile
+/// view COULD NOT have seen landed inside its read footprint. Those
+/// commits — the hazards — are boundary nets (routed here) and redos that
+/// diverged from their speculation, whose speculative metal later
+/// same-tile views did see. Interior commits of other tiles cannot overlap
+/// its reads (reads ⊆ window ⊕ halo ⊆ own tile by the ownership rule), and
+/// same-tile predecessors applied as-speculated are exactly what its view
+/// held. The index holds every hazard of the pass, including those before
+/// the tile's view was cut (which the view did see): flagging them too is
+/// conservative, never wrong. Hazard boxes live in a geom::SpatialGrid, so
+/// validation costs O(window) per net rather than an O(n) commit-log scan.
+std::size_t MrTplRouter::commit_walk(grid::RoutingGrid& grid, ColorSearch& search,
+                                     TiledPass* tiled,
+                                     const std::vector<db::NetId>& nets,
+                                     grid::Solution& solution) {
+  std::size_t skipped_from = nets.size();
   std::optional<geom::SpatialGrid> hazard_idx;
-  if (tiled) {
-    tile_outcomes = route_tiles(grid, *workers, nets, tile_of);
-    hazard_idx.emplace(design_.die(), 32);
-  }
+  if (tiled != nullptr) hazard_idx.emplace(design_.die(), 32);
   for (size_t k = 0; k < nets.size(); ++k) {
     // Budget skip: once the budget expires mid-pass, the remaining nets are
     // marked kSkipped without committing anything. The decision reads the
     // *applied* ledger, so for relaxation budgets it falls on the same net
     // for every (tiles, threads) configuration. expired() is monotone, so
-    // no later net validates against a skipped one.
+    // no later net validates against a skipped one, and the tiles can stop.
     if (budget_.active() && budget_.expired(stats_.relaxations)) {
-      if (tiled) stats_.wasted_relaxations += tile_outcomes[k].relaxations;
+      if (skipped_from == nets.size()) {
+        skipped_from = k;
+        if (tiled != nullptr) tiled->feed.close();
+      }
       mark_skipped(solution, nets[k]);
       continue;
     }
     RouteOutcome outcome;
-    const bool interior = tiled && tile_of[k] != shard::TilePlan::kBoundary;
-    bool hazard = tiled && !interior;  // boundary commits reach no tile view
+    const bool interior =
+        tiled != nullptr && tiled->tile_of[k] != shard::TilePlan::kBoundary;
+    // A boundary commit reaches no view cut before it.
+    bool hazard = tiled != nullptr && !interior;
     if (interior) {
       ++stats_.speculated;
-      outcome = std::move(tile_outcomes[k]);
+      // An abandoned slot (its tile threw) carries no outcome: redo it.
+      const bool ready = tiled->feed.await(k);
+      if (ready) outcome = std::move(tiled->outcomes[k]);
       bool stale =
+          !ready ||
           (outcome.has_read_near && hazard_idx->any_overlap(outcome.read_near)) ||
           (outcome.has_read_tpl && hazard_idx->any_overlap(outcome.read_tpl));
       // Fault site kSpecInvalidate: force the serial redo path; the redo
@@ -517,9 +534,7 @@ void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
         hazard_idx->insert(static_cast<std::uint32_t>(k), box);
     solution.routes[static_cast<size_t>(nets[k])] = std::move(outcome.route);
   }
-  stats_.route_batches += 1;
-  stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
-  stats_.reroute_s += timer.elapsed_s();
+  return skipped_from;
 }
 
 void MrTplRouter::mark_skipped(grid::Solution& solution, db::NetId id) {

@@ -16,6 +16,7 @@
 #include "global/guide.hpp"
 #include "grid/route_result.hpp"
 #include "grid/routing_grid.hpp"
+#include "shard/tile_feed.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mrtpl::core {
@@ -45,6 +46,10 @@ struct RouterStats {
   int speculated = 0;                 ///< interior outcomes reaching commit
   int respeculated = 0;               ///< interior outcomes redone serially
   std::uint64_t wasted_relaxations = 0;  ///< search effort of discarded ones
+  /// Wall time the commit walk spent waiting for tile outcomes, summed
+  /// over tiled passes. Near zero when the walk bounds a pass, large when
+  /// the tiles do. Timing, not a contract: reported, never pinned.
+  double walk_wait_s = 0.0;
 
   /// A RouteBudget bound tripped and stopped the run early; the returned
   /// solution carries SolutionStatus::kDegraded.
@@ -211,28 +216,43 @@ class MrTplRouter {
     std::vector<std::unique_ptr<SearchArena>> arenas;
   };
 
-  /// One routing pass: the commit walk, the only per-net loop. Routes
-  /// `nets` in order into `grid`, storing results in `solution`; each net
-  /// sees exactly the commits of the nets before it. With `workers` the
-  /// pass first speculates the tiles' interior nets in parallel
-  /// (route_tiles); the walk then applies each interior outcome that no
-  /// invisible commit could have changed and recomputes the rest on the
-  /// spot. Boundary nets — every net, without workers — are routed in the
-  /// walk itself against the exact serial-prefix grid. Byte-identical for
-  /// every (tiles, threads) configuration.
+  /// One routing pass. Routes `nets` in order into `grid`, storing results
+  /// in `solution`; each net sees exactly the commits of the nets before
+  /// it. With `workers` (and more than one net, and budget left) the pass
+  /// is tiled (route_tiles); otherwise it is the commit walk alone.
+  /// Byte-identical for every (tiles, threads) configuration.
   void route_list(grid::RoutingGrid& grid, ColorSearch& search, Workers* workers,
                   const std::vector<db::NetId>& nets, grid::Solution& solution);
 
-  /// Phase A of a tiled pass (sharded_router.cpp), main grid frozen.
-  /// Classifies every net of `nets` by tile ownership into `tile_of`
-  /// (TilePlan::kBoundary for boundary nets) and returns, slot-indexed,
-  /// the outcome of every interior net: each non-empty tile routes its
-  /// nets sequentially in ripped order against its own GridView, so
-  /// intra-tile dependencies are exact, not speculative. Boundary slots
-  /// stay empty.
-  [[nodiscard]] std::vector<RouteOutcome> route_tiles(
-      const grid::RoutingGrid& grid, Workers& workers,
-      const std::vector<db::NetId>& nets, std::vector<int>& tile_of);
+  /// What a tiled pass's tile tasks hand its commit walk: each net's tile
+  /// (TilePlan::kBoundary for boundary nets) and, slot-indexed, the
+  /// outcome of every interior net, published through `feed`.
+  struct TiledPass {
+    explicit TiledPass(std::size_t slots) : outcomes(slots), feed(slots) {}
+    std::vector<int> tile_of;
+    std::vector<RouteOutcome> outcomes;
+    shard::TileFeed feed;
+  };
+
+  /// The tiled pass (sharded_router.cpp). Classifies `nets` by tile
+  /// ownership, then runs the commit walk on the calling thread while the
+  /// pool routes each tile's interior nets sequentially, in ripped order,
+  /// against the tile's own GridView (intra-tile dependencies are exact,
+  /// not speculative). Tiles are dispatched in first-slot order and cut
+  /// their views when the walk reaches their first slot.
+  void route_tiles(grid::RoutingGrid& grid, ColorSearch& search, Workers& workers,
+                   const std::vector<db::NetId>& nets, grid::Solution& solution);
+
+  /// The commit walk, the only per-net loop. Without `tiled` it routes
+  /// every net against the exact serial-prefix grid. With it, boundary
+  /// nets are still routed here, and each interior outcome is awaited
+  /// from the feed, applied when no commit its view could not see landed
+  /// in its read footprint, and recomputed on the spot otherwise. Returns
+  /// the first slot a budget stop skipped (nets.size() when none); the
+  /// feed is closed at that point.
+  std::size_t commit_walk(grid::RoutingGrid& grid, ColorSearch& search,
+                          TiledPass* tiled, const std::vector<db::NetId>& nets,
+                          grid::Solution& solution);
 
   struct LayoutSnapshot;  // best-iterate keeper, mrtpl_router.cpp
 

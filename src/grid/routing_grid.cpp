@@ -78,11 +78,19 @@ RoutingGrid::RoutingGrid(const RoutingGrid& base, const geom::Rect& tile)
       std::copy_n(base.blocked_.begin() + src, nx_, blocked_.begin() + dst);
       std::copy_n(base.pin_vertex_.begin() + src, nx_, pin_vertex_.begin() + dst);
       std::copy_n(base.pin_owner_.begin() + src, nx_, pin_owner_.begin() + dst);
-      std::copy_n(base.history_.begin() + src, nx_, history_.begin() + dst);
       std::copy_n(base.color_counts_.begin() + 3 * static_cast<std::size_t>(src),
                   3 * static_cast<std::size_t>(nx_),
                   color_counts_.begin() + 3 * static_cast<std::size_t>(dst));
     }
+  }
+  // History is nonzero only where add_history touched the base.
+  for (const VertexId v : base.history_touched_) {
+    const VertexLoc l = base.loc(v);
+    if (!r.contains(geom::Point{l.x, l.y})) continue;
+    const VertexId u = vertex(l.layer, l.x, l.y);
+    if (history_[u] != 0.0f || base.history_[v] == 0.0f) continue;  // duplicate
+    history_[u] = base.history_[v];
+    history_touched_.push_back(u);
   }
 }
 
@@ -225,7 +233,8 @@ void RoutingGrid::rerasterize(int layer, const geom::Rect& region) {
 }
 
 void RoutingGrid::clear_history() {
-  std::fill(history_.begin(), history_.end(), 0.0f);
+  for (const VertexId v : history_touched_) history_[v] = 0.0f;
+  history_touched_.clear();
 }
 
 int RoutingGrid::same_mask_neighbors(VertexId v, Mask m, db::NetId self) const {

@@ -121,7 +121,13 @@ class RoutingGrid {
 
   // ---- negotiated-congestion history ---------------------------------
   [[nodiscard]] double history(VertexId v) const { return history_[v]; }
-  void add_history(VertexId v, double amount) { history_[v] += static_cast<float>(amount); }
+  void add_history(VertexId v, double amount) {
+    if (history_[v] == 0.0f && amount != 0.0) history_touched_.push_back(v);
+    history_[v] += static_cast<float>(amount);
+  }
+  /// Zero every vertex's history. Costs O(vertices add_history touched
+  /// since the last clear), not O(grid): a resident session clears on
+  /// every apply.
   void clear_history();
 
   // ---- TPL neighborhood queries ---------------------------------------
@@ -218,6 +224,7 @@ class RoutingGrid {
   std::vector<std::uint8_t> pin_vertex_;  ///< vertex belongs to a pin shape
   std::vector<db::NetId> pin_owner_;      ///< pin net (survives release())
   std::vector<float> history_;
+  std::vector<VertexId> history_touched_;  ///< holds every nonzero history_ entry
   std::vector<std::uint16_t> color_counts_;  ///< 3 per vertex, see accessor
   std::vector<std::uint32_t> colored_of_;    ///< per-net colored-vertex count
   std::vector<VertexId>* dirty_log_ = nullptr;  ///< change log, may be null

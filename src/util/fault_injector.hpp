@@ -8,9 +8,12 @@
 /// variable (CI fault-matrix). Sites:
 ///
 ///   arena_grow       SearchArena::ensure throws std::bad_alloc, as if
-///                    label-array growth ran out of memory. The router
-///                    marks the net failed and retries it on a later RRR
-///                    iteration.
+///                    label-array growth ran out of memory. In a net's
+///                    search the router marks the net failed and retries
+///                    it on a later RRR iteration. In a tile task's setup
+///                    (its ColorSearch constructor) the tile abandons its
+///                    remaining nets and the commit walk recomputes them
+///                    serially.
 ///   spec_invalidate  The tiled executor's commit walk treats a tile-
 ///                    interior net's speculated outcome as stale and
 ///                    recomputes it serially (boundary nets are routed in

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace mrtpl::util {
 
@@ -21,21 +22,38 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::for_each(std::size_t count,
                           const std::function<void(std::size_t, int)>& fn) {
-  if (count == 0) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  job_ = &fn;
-  next_ = 0;
-  count_ = count;
-  remaining_ = count;
-  first_error_ = nullptr;
-  work_cv_.notify_all();
-  done_cv_.wait(lock, [this] { return remaining_ == 0; });
-  job_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
+  for_each_overlapped(count, fn, [] {});
+}
+
+void ThreadPool::for_each_overlapped(std::size_t count,
+                                     const std::function<void(std::size_t, int)>& fn,
+                                     const std::function<void()>& caller) {
+  if (count > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      job_ = &fn;
+      next_ = 0;
+      count_ = count;
+      remaining_ = count;
+      first_error_ = nullptr;
+    }
+    work_cv_.notify_all();
   }
+  std::exception_ptr caller_error;
+  try {
+    caller();
+  } catch (...) {
+    caller_error = std::current_exception();
+  }
+  std::exception_ptr worker_error;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [this] { return remaining_ == 0; });
+    job_ = nullptr;
+    worker_error = std::exchange(first_error_, nullptr);
+  }
+  if (caller_error) std::rethrow_exception(caller_error);
+  if (worker_error) std::rethrow_exception(worker_error);
 }
 
 void ThreadPool::worker_loop(int id) {

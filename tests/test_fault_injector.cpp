@@ -174,6 +174,32 @@ TEST_F(FaultInjectorTest, ArenaGrowFailureIsContained) {
   EXPECT_EQ(report.count(drc::ViolationKind::kOverlap), 0) << report.summary();
 }
 
+TEST_F(FaultInjectorTest, ArenaGrowFailureInATileIsContained) {
+  // A tile task builds its view and its search (whose constructor grows
+  // the worker's arena) before any guarded net compute. Every other
+  // arena growth fails here — the serial search's, the run's first, never
+  // does — so some tile's setup throws on every pass; its nets must be
+  // recomputed by the commit walk instead of killing the run.
+  const db::Design design = benchgen::generate(test::sized_case(96, 110, 25));
+  auto& inj = FaultInjector::instance();
+  ASSERT_TRUE(inj.configure("arena_grow:2:1"));
+
+  grid::RoutingGrid grid(design);
+  grid::Solution solution;
+  core::RouterStats stats;
+  ASSERT_NO_THROW(solution = route(design, 4, 2, 6, grid, &stats));
+  EXPECT_GT(inj.fired(FaultSite::kArenaGrow), 0u) << "site never triggered";
+  EXPECT_GT(stats.speculated, 0);
+  inj.disarm();
+
+  drc::DrcOptions opt;
+  opt.check_coloring = false;
+  const drc::DrcReport report = drc::verify(grid, design, solution, opt);
+  EXPECT_EQ(report.count(drc::ViolationKind::kOwnershipMismatch), 0)
+      << report.summary();
+  EXPECT_EQ(report.count(drc::ViolationKind::kOverlap), 0) << report.summary();
+}
+
 TEST_F(FaultInjectorTest, ForcedSpeculationInvalidationKeepsOutputIdentical) {
   // Only tile-interior nets speculate; tiny_case has none at 4 tiles, so
   // this die is large enough for a 2x2 plan to classify interior nets.

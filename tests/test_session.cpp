@@ -457,6 +457,47 @@ TEST(RouterSession, ApplyRefreshesConflictsOverTheDeltaOnly) {
   EXPECT_TRUE(audit_session(session).ok);
 }
 
+TEST(RouterSession, ApplyStartsFromZeroHistory) {
+  // Nets on tracks 5-7 and 9-11 (dcolor 2); an added net on track 8 sits
+  // within dcolor of four of them, all three masks taken, so the apply's
+  // rip-up and reroute adds history.
+  db::TechRules rules;
+  rules.dcolor = 2;
+  db::Design d("h", db::Tech::make_default(2, 2, rules), {0, 0, 15, 15});
+  for (const int y : {5, 6, 7, 9, 10, 11}) {
+    const db::NetId n = d.add_net("n" + std::to_string(y));
+    db::Pin p;
+    p.layer = 0;
+    p.shapes = {{2, y, 2, y}};
+    d.add_pin(n, p);
+    p.shapes = {{13, y, 13, y}};
+    d.add_pin(n, p);
+  }
+  d.validate();
+  RouterSession session(d, quiet_config());
+  auto history_vertices = [&session] {
+    int n = 0;
+    for (grid::VertexId v = 0; v < session.grid().num_vertices(); ++v)
+      if (session.grid().history(v) != 0.0) ++n;
+    return n;
+  };
+  ASSERT_EQ(history_vertices(), 0);
+  const EditResponse added = session.submit(add_net_edit("eco", 0, 8, 2, 13));
+  ASSERT_EQ(added.status, EditStatus::kApplied);
+  ASSERT_GT(history_vertices(), 0) << "the apply's rip-up added no history";
+
+  // Removing the net again leaves nothing to rip, so the next apply adds
+  // no history: every vertex the last apply touched must be back at 0.
+  Edit e;
+  e.kind = EditKind::kRemoveNet;
+  e.net = 6;
+  const EditResponse removed = session.submit(e);
+  ASSERT_EQ(removed.status, EditStatus::kApplied);
+  ASSERT_EQ(removed.conflicts, 0);
+  EXPECT_EQ(history_vertices(), 0);
+  EXPECT_TRUE(audit_session(session).ok);
+}
+
 // ---- replay determinism -------------------------------------------------
 
 TEST(RouterSession, CommittedSequenceReplaysByteIdentically) {

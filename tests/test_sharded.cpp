@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 
 #include "benchgen/generator.hpp"
 #include "core/sharded_router.hpp"
@@ -119,6 +120,7 @@ TEST_P(ShardSweep, EveryTileThreadConfigMatchesSerialReference) {
   const std::string reference = route_text(design, guides, 1, 1, &ref_stats);
   ASSERT_GT(ref_stats.relaxations, 0u);
   for (const int tiles : {1, 4, 16}) {
+    std::optional<core::RouterStats> pooled;  // first config with a pool
     for (const int threads : {1, 2, 8}) {
       core::RouterStats stats;
       EXPECT_EQ(route_text(design, guides, tiles, threads, &stats), reference)
@@ -130,6 +132,24 @@ TEST_P(ShardSweep, EveryTileThreadConfigMatchesSerialReference) {
           << "tiles " << tiles << " threads " << threads;
       EXPECT_EQ(stats.relaxations, ref_stats.relaxations)
           << "tiles " << tiles << " threads " << threads;
+      // Each view is cut at the serial prefix of its tile's first slot, so
+      // what the tiles compute, and what the walk redoes, depends on the
+      // tile count alone. One thread has no pool and speculates nothing.
+      if (threads == 1 || tiles == 1) {
+        EXPECT_EQ(stats.speculated, 0) << "tiles " << tiles << " threads " << threads;
+        EXPECT_EQ(stats.respeculated, 0) << "tiles " << tiles << " threads " << threads;
+        EXPECT_EQ(stats.wasted_relaxations, 0u)
+            << "tiles " << tiles << " threads " << threads;
+      } else if (!pooled) {
+        pooled = stats;
+      } else {
+        EXPECT_EQ(stats.speculated, pooled->speculated)
+            << "tiles " << tiles << " threads " << threads;
+        EXPECT_EQ(stats.respeculated, pooled->respeculated)
+            << "tiles " << tiles << " threads " << threads;
+        EXPECT_EQ(stats.wasted_relaxations, pooled->wasted_relaxations)
+            << "tiles " << tiles << " threads " << threads;
+      }
     }
   }
   // The facade drives the same executor, at the plan with interior nets.
